@@ -65,16 +65,10 @@ use hdsd_parallel::{
     parallel_for_chunks_with, AtomicBitset, AtomicU32Vec, ConcurrentWorklist, QuiescenceCounter,
     SchedulerStats,
 };
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
-use crate::cancel::{CancelToken, Cancelled};
 use crate::convergence::{ConvergenceResult, IterationEvent, LocalConfig, SweepMode};
 use crate::space::{CliqueSpace, FlatAccess, FlatContainers, SweepAccess, WalkAccess};
-
-/// How many frontier pops a parallel And worker processes between
-/// cancellation probes — the per-worker overshoot bound for the drain.
-pub const AND_CANCEL_POP_BATCH: u32 = 64;
 
 /// Processing order for the asynchronous sweep.
 #[derive(Clone, Debug, Default)]
@@ -156,8 +150,7 @@ pub fn and_with_options<S: CliqueSpace>(
     observer: &mut dyn FnMut(IterationEvent<'_>),
 ) -> ConvergenceResult {
     let mode = if notification { cfg.sweep_mode } else { SweepMode::FullScan };
-    dispatch(space, cfg, order, mode, None, None, &CancelToken::none(), observer)
-        .expect("an unarmed token never cancels")
+    dispatch(space, cfg, order, mode, None, observer)
 }
 
 /// And starting from a caller-provided τ instead of the S-degrees.
@@ -167,9 +160,8 @@ pub fn and_with_options<S: CliqueSpace>(
 /// `H` over a clique's containers never exceeds its container count, so
 /// `Uτ_init ≤ d_s` pointwise after one sweep; thereafter
 /// `κ = U^t κ ≤ U^t τ_init ≤ U^t d_s → κ` squeezes the sequence onto κ
-/// within the Theorem-3 bound (+1 sweep). This is what makes incremental
-/// maintenance ([`crate::incremental`]) possible: a stale decomposition,
-/// suitably bumped, is a valid warm start.
+/// within the Theorem-3 bound (+1 sweep). `tests/theorems.rs` checks this
+/// convergence claim from random upper bounds.
 ///
 /// # Panics
 /// Panics when `tau_init.len() != space.num_cliques()`.
@@ -181,100 +173,42 @@ pub fn and_resume<S: CliqueSpace>(
     observer: &mut dyn FnMut(IterationEvent<'_>),
 ) -> ConvergenceResult {
     assert_eq!(tau_init.len(), space.num_cliques(), "tau_init length mismatch");
-    dispatch(
-        space,
-        cfg,
-        order,
-        cfg.sweep_mode,
-        Some(tau_init),
-        None,
-        &CancelToken::none(),
-        observer,
-    )
-    .expect("an unarmed token never cancels")
-}
-
-/// [`and_resume`] with only `awake` initially scheduled instead of the
-/// whole universe — the incremental-maintenance fast path: after an edge
-/// batch, only the cliques whose τ or containers the batch may have
-/// changed need a first look; everything else is woken on demand by the
-/// notification mechanism.
-///
-/// Exactness does not depend on `awake` being complete: the convergence
-/// protocol's final certification sweep recomputes every clique before
-/// declaring a fixed point, so an under-seeded run costs extra sweeps, not
-/// correctness. (`SweepMode::FullScan` ignores `awake` by construction.)
-pub fn and_resume_awake<S: CliqueSpace>(
-    space: &S,
-    cfg: &LocalConfig,
-    order: &Order,
-    tau_init: Vec<u32>,
-    awake: &[u32],
-    observer: &mut dyn FnMut(IterationEvent<'_>),
-) -> ConvergenceResult {
-    and_resume_awake_within(space, cfg, order, tau_init, awake, &CancelToken::none(), observer)
-        .expect("an unarmed token never cancels")
-}
-
-/// [`and_resume_awake`] with cooperative cancellation: the sequential
-/// driver probes the token once per sweep, the parallel frontier every
-/// [`AND_CANCEL_POP_BATCH`] pops per worker (the scan modes once per
-/// sweep), so a tripped token abandons the iteration with bounded
-/// overshoot instead of running to convergence. On `Err` all partial τ
-/// progress is discarded — callers that want exactness re-run; callers
-/// that arrived here already hold a valid upper bound (τ only descends).
-pub fn and_resume_awake_within<S: CliqueSpace>(
-    space: &S,
-    cfg: &LocalConfig,
-    order: &Order,
-    tau_init: Vec<u32>,
-    awake: &[u32],
-    cancel: &CancelToken,
-    observer: &mut dyn FnMut(IterationEvent<'_>),
-) -> Result<ConvergenceResult, Cancelled> {
-    assert_eq!(tau_init.len(), space.num_cliques(), "tau_init length mismatch");
-    dispatch(space, cfg, order, cfg.sweep_mode, Some(tau_init), Some(awake), cancel, observer)
+    dispatch(space, cfg, order, cfg.sweep_mode, Some(tau_init), observer)
 }
 
 /// Resolves the access layer (flat cache vs callback walk) and the
 /// sequential/parallel driver, then runs the sweeps. The drivers are
 /// monomorphized over [`SweepAccess`], so the hot per-container loop has no
 /// dynamic dispatch either way.
-#[allow(clippy::too_many_arguments)]
 fn dispatch<S: CliqueSpace>(
     space: &S,
     cfg: &LocalConfig,
     order: &Order,
     mode: SweepMode,
     tau_init: Option<Vec<u32>>,
-    awake: Option<&[u32]>,
-    cancel: &CancelToken,
     observer: &mut dyn FnMut(IterationEvent<'_>),
-) -> Result<ConvergenceResult, Cancelled> {
+) -> ConvergenceResult {
     let perm = order.permutation(space);
     let flat =
         cfg.container_cache_budget.and_then(|budget| FlatContainers::build_within(space, budget));
     match &flat {
-        Some(f) => drive(&FlatAccess(f), cfg, &perm, mode, tau_init, awake, cancel, observer),
-        None => drive(&WalkAccess(space), cfg, &perm, mode, tau_init, awake, cancel, observer),
+        Some(f) => drive(&FlatAccess(f), cfg, &perm, mode, tau_init, observer),
+        None => drive(&WalkAccess(space), cfg, &perm, mode, tau_init, observer),
     }
 }
 
-#[allow(clippy::too_many_arguments)]
 fn drive<A: SweepAccess>(
     access: &A,
     cfg: &LocalConfig,
     perm: &[u32],
     mode: SweepMode,
     tau_init: Option<Vec<u32>>,
-    awake: Option<&[u32]>,
-    cancel: &CancelToken,
     observer: &mut dyn FnMut(IterationEvent<'_>),
-) -> Result<ConvergenceResult, Cancelled> {
+) -> ConvergenceResult {
     if cfg.parallel.threads <= 1 {
-        and_sequential(access, cfg, perm, mode, tau_init, awake, cancel, observer)
+        and_sequential(access, cfg, perm, mode, tau_init, observer)
     } else {
-        and_parallel(access, cfg, perm, mode, tau_init, awake, cancel, observer)
+        and_parallel(access, cfg, perm, mode, tau_init, observer)
     }
 }
 
@@ -299,16 +233,13 @@ struct DrainFrontier {
 
 impl DrainFrontier {
     /// Builds the worklist with every r-clique scheduled (line 4 of
-    /// Algorithm 3: all start awake), or only `awake` when given (the
-    /// incremental warm-start path).
-    fn seeded(perm: &[u32], awake: Option<&[u32]>) -> Self {
+    /// Algorithm 3: all start awake).
+    fn seeded(perm: &[u32]) -> Self {
         let f = DrainFrontier {
             worklist: ConcurrentWorklist::new(perm.len()),
             quiesce: QuiescenceCounter::new(),
         };
-        for &i in awake.unwrap_or(perm) {
-            f.issue_push(i);
-        }
+        f.reschedule_all(perm);
         f
     }
 
@@ -346,32 +277,18 @@ struct SeqFrontier {
 }
 
 impl SeqFrontier {
-    fn seeded(perm: &[u32], awake: Option<&[u32]>) -> Self {
+    fn seeded(perm: &[u32]) -> Self {
         let n = perm.len();
         let mut rank = vec![0u32; n];
         for (k, &i) in perm.iter().enumerate() {
             rank[i as usize] = k as u32;
         }
-        let mut f = match awake {
-            Some(_) => SeqFrontier {
-                queued: vec![false; n],
-                next: Vec::new(),
-                rank,
-                snapshot: Vec::with_capacity(n),
-            },
-            None => SeqFrontier {
-                queued: vec![true; n],
-                next: perm.to_vec(),
-                rank,
-                snapshot: Vec::with_capacity(n),
-            },
-        };
-        if let Some(ids) = awake {
-            for &i in ids {
-                f.push(i as usize);
-            }
+        SeqFrontier {
+            queued: vec![true; n],
+            next: perm.to_vec(),
+            rank,
+            snapshot: Vec::with_capacity(n),
         }
-        f
     }
 
     #[inline]
@@ -398,36 +315,23 @@ impl SeqFrontier {
     }
 }
 
-#[allow(clippy::too_many_arguments)]
 fn and_sequential<A: SweepAccess>(
     access: &A,
     cfg: &LocalConfig,
     perm: &[u32],
     mode: SweepMode,
     tau_init: Option<Vec<u32>>,
-    awake: Option<&[u32]>,
-    cancel: &CancelToken,
     observer: &mut dyn FnMut(IterationEvent<'_>),
-) -> Result<ConvergenceResult, Cancelled> {
-    let armed = cancel.is_armed();
+) -> ConvergenceResult {
     let n = access.len();
     let mut tau = tau_init.unwrap_or_else(|| access.initial());
     let mut buf = HBuffer::new();
 
     let mut frontier =
-        if mode == SweepMode::Frontier { Some(SeqFrontier::seeded(perm, awake)) } else { None };
+        if mode == SweepMode::Frontier { Some(SeqFrontier::seeded(perm)) } else { None };
     // Wake flags, FlagScan only (all r-cliques start active, as in the
-    // paper, unless an initial awake set narrows it); the other modes
-    // never read them, so don't pay the O(n).
-    let mut active = match (mode, awake) {
-        (SweepMode::FlagScan, None) => vec![true; n],
-        (SweepMode::FlagScan, Some(ids)) => {
-            let mut a = vec![false; n];
-            ids.iter().for_each(|&i| a[i as usize] = true);
-            a
-        }
-        _ => Vec::new(),
-    };
+    // paper); the other modes never read them, so don't pay the O(n).
+    let mut active = if mode == SweepMode::FlagScan { vec![true; n] } else { Vec::new() };
 
     let mut scheduler = SchedulerStats::from_chunks(vec![0]);
     let mut updates_per_iter = Vec::new();
@@ -439,9 +343,6 @@ fn and_sequential<A: SweepAccess>(
         if n == 0 {
             converged = true;
             break;
-        }
-        if armed {
-            cancel.check("and sweep")?;
         }
         let mut updates = 0usize;
         let mut processed = 0usize;
@@ -528,46 +429,24 @@ fn and_sequential<A: SweepAccess>(
         }
     }
 
-    Ok(ConvergenceResult {
-        tau,
-        sweeps,
-        converged,
-        updates_per_iter,
-        processed_per_iter,
-        scheduler,
-    })
+    ConvergenceResult { tau, sweeps, converged, updates_per_iter, processed_per_iter, scheduler }
 }
 
-#[allow(clippy::too_many_arguments)]
 fn and_parallel<A: SweepAccess>(
     access: &A,
     cfg: &LocalConfig,
     perm: &[u32],
     mode: SweepMode,
     tau_init: Option<Vec<u32>>,
-    awake: Option<&[u32]>,
-    cancel: &CancelToken,
     observer: &mut dyn FnMut(IterationEvent<'_>),
-) -> Result<ConvergenceResult, Cancelled> {
-    let armed = cancel.is_armed();
-    // First cancellation observed inside a frontier drain; the observer
-    // also raises `abort` so every free-running peer exits its pop loop.
-    let cancel_info: Mutex<Option<Cancelled>> = Mutex::new(None);
+) -> ConvergenceResult {
     let n = access.len();
     let tau = AtomicU32Vec::from_vec(tau_init.unwrap_or_else(|| access.initial()));
 
     let frontier =
-        if mode == SweepMode::Frontier { Some(DrainFrontier::seeded(perm, awake)) } else { None };
+        if mode == SweepMode::Frontier { Some(DrainFrontier::seeded(perm)) } else { None };
     // Wake flags, FlagScan only; Frontier/FullScan never touch them.
-    let active =
-        AtomicBitset::new(if mode == SweepMode::FlagScan { n } else { 0 }, awake.is_none());
-    if mode == SweepMode::FlagScan {
-        if let Some(ids) = awake {
-            for &i in ids {
-                active.set(i as usize);
-            }
-        }
-    }
+    let active = AtomicBitset::new(if mode == SweepMode::FlagScan { n } else { 0 }, true);
 
     let mut scheduler = SchedulerStats::default();
     let mut updates_per_iter = Vec::new();
@@ -580,9 +459,6 @@ fn and_parallel<A: SweepAccess>(
         if n == 0 {
             converged = true;
             break;
-        }
-        if armed {
-            cancel.check("and sweep")?;
         }
         let updates = AtomicUsize::new(0);
         let processed = AtomicUsize::new(0);
@@ -598,9 +474,6 @@ fn and_parallel<A: SweepAccess>(
             Some(f) => {
                 let worklist = &f.worklist;
                 let quiesce = &f.quiesce;
-                let abort = AtomicBool::new(false);
-                let abort_ref = &abort;
-                let cancel_info_ref = &cancel_info;
                 let threads = cfg.parallel.threads.max(1);
                 let mut per_worker = vec![0usize; threads];
                 std::thread::scope(|s| {
@@ -612,17 +485,7 @@ fn and_parallel<A: SweepAccess>(
                                 let mut local_updates = 0usize;
                                 let mut local_processed = 0usize;
                                 let mut idle = 0u32;
-                                let mut since_check = 0u32;
                                 loop {
-                                    // Quiescence cannot be reached once a
-                                    // peer aborts with unretired items, so
-                                    // the abort flag is the drain's second
-                                    // exit — checked every iteration,
-                                    // including the idle spin (which loops
-                                    // back here via `continue`).
-                                    if armed && abort_ref.load(Ordering::Relaxed) {
-                                        break;
-                                    }
                                     let Some(iu) = worklist.pop() else {
                                         // Empty is not done: a peer may be
                                         // mid-item about to wake neighbors.
@@ -644,24 +507,6 @@ fn and_parallel<A: SweepAccess>(
                                     };
                                     idle = 0;
                                     claims += 1;
-                                    since_check += 1;
-                                    if armed && since_check >= AND_CANCEL_POP_BATCH {
-                                        since_check = 0;
-                                        if let Err(c) = cancel.check("and frontier") {
-                                            let mut slot =
-                                                cancel_info_ref.lock().expect("cancel slot");
-                                            if slot.is_none() {
-                                                *slot = Some(c);
-                                            }
-                                            drop(slot);
-                                            abort_ref.store(true, Ordering::Relaxed);
-                                            // The popped item is still
-                                            // processed below — a worker
-                                            // never abandons a held item,
-                                            // bounding overshoot to the
-                                            // pop batch plus this one.
-                                        }
-                                    }
                                     let i = iu as usize;
                                     // Unmark before recomputing: a
                                     // concurrent neighbor update re-issues
@@ -744,9 +589,6 @@ fn and_parallel<A: SweepAccess>(
             }
         };
 
-        if let Some(c) = cancel_info.lock().expect("cancel slot").take() {
-            return Err(c);
-        }
         scheduler.merge(&sweep_stats);
         sweeps += 1;
         let u = updates.load(Ordering::Relaxed);
@@ -793,14 +635,14 @@ fn and_parallel<A: SweepAccess>(
         }
     }
 
-    Ok(ConvergenceResult {
+    ConvergenceResult {
         tau: tau.into_vec(),
         sweeps,
         converged,
         updates_per_iter,
         processed_per_iter,
         scheduler,
-    })
+    }
 }
 
 #[cfg(test)]
@@ -989,66 +831,6 @@ mod tests {
         for (i, (&a, &k)) in r.tau.iter().zip(&exact).enumerate() {
             assert!(a >= k, "τ[{i}]");
         }
-    }
-
-    #[test]
-    fn cancelled_and_aborts_sequential_and_parallel() {
-        let g = hdsd_datasets::holme_kim(800, 5, 0.5, 41);
-        let sp = CoreSpace::new(&g);
-        let n = sp.num_cliques();
-        let tau: Vec<u32> = (0..n).map(|i| sp.degree(i)).collect();
-        let awake: Vec<u32> = (0..n as u32).collect();
-        let past = std::time::Instant::now() - std::time::Duration::from_millis(1);
-        for threads in [1usize, 4] {
-            let cfg = if threads == 1 {
-                LocalConfig::sequential()
-            } else {
-                LocalConfig::with_threads(threads)
-            };
-            // An expired deadline trips at the first sweep boundary.
-            let err = and_resume_awake_within(
-                &sp,
-                &cfg,
-                &Order::Natural,
-                tau.clone(),
-                &awake,
-                &CancelToken::with_deadline(Some(past)),
-                &mut |_| {},
-            )
-            .unwrap_err();
-            assert_eq!(err.message(), "deadline exceeded (and sweep)", "threads={threads}");
-            // A generous deadline is invisible: exact κ as ever.
-            let far = std::time::Instant::now() + std::time::Duration::from_secs(3600);
-            let ok = and_resume_awake_within(
-                &sp,
-                &cfg,
-                &Order::Natural,
-                tau.clone(),
-                &awake,
-                &CancelToken::with_deadline(Some(far)),
-                &mut |_| {},
-            )
-            .expect("generous deadline");
-            assert_eq!(ok.tau, peel(&sp).kappa, "threads={threads}");
-        }
-        // A flag raised mid-run stops the parallel frontier drain between
-        // pop batches (stage is either the sweep boundary or the frontier,
-        // depending on where the trip lands).
-        let err = and_resume_awake_within(
-            &sp,
-            &LocalConfig::with_threads(4),
-            &Order::Natural,
-            tau.clone(),
-            &awake,
-            &CancelToken::tripping_after_checks(2),
-            &mut |_| {},
-        )
-        .unwrap_err();
-        assert!(
-            err.stage == "and sweep" || err.stage == "and frontier",
-            "unexpected stage {:?}",
-            err.stage
-        );
     }
 
     #[test]

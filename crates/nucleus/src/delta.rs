@@ -19,9 +19,8 @@
 //!   is copied with triangle ids remapped — no global K4 enumeration.
 //!
 //! Each function also returns the `new id → old id` clique remap, which is
-//! what lets the warm-started refresh carry stale κ across the update
-//! **positionally**, with no identity hashing
-//! (see [`crate::incremental::refresh_resume_of`]).
+//! what lets a resident hierarchy be repaired across the update
+//! **positionally** (see [`crate::hierarchy::repair_dirty_seed`]).
 
 use hdsd_graph::{
     try_for_each_k4_of_triangle, CsrDelta, CsrGraph, TriangleDelta, TriangleList, NO_ID,

@@ -21,7 +21,7 @@ pub mod canonical;
 pub mod repair;
 
 pub use canonical::assert_forest_eq;
-pub use repair::{repair_hierarchy, RepairStats};
+pub use repair::{repair_dirty_seed, repair_hierarchy, RepairStats};
 
 use hdsd_graph::{density, induced_subgraph, CsrGraph, VertexId};
 

@@ -44,10 +44,10 @@
 //! `hierarchy_repair_properties` suite proves canonical-form equality on
 //! randomized graphs × batches × spaces (see [`super::canonical`]).
 
-use hdsd_graph::NO_ID;
+use hdsd_graph::{VertexId, NO_ID};
 
 use super::{ForestBuilder, Hierarchy, HierarchyNode};
-use crate::space::CliqueSpace;
+use crate::space::{CachedSpace, CliqueSpace};
 
 /// Telemetry of one repair, for update reports and the bench gate.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -73,6 +73,51 @@ pub struct RepairStats {
     pub full_rebuild: bool,
 }
 
+/// The `dirty_seed` of [`repair_hierarchy`] after an edge batch, derived
+/// from the κ diff: batch-created cliques, cliques whose κ changed, and
+/// cliques with a batch endpoint among their vertices.
+///
+/// `new_to_old` is the splice's clique-id remap, `old_kappa` the pre-batch
+/// κ (old ids), `kappa` the post-batch κ, and `batch_ends` the endpoints of
+/// every edge the batch actually inserted or removed.
+///
+/// The endpoint term is what covers the container-set contract: an
+/// s-clique created or destroyed by the batch contains a changed edge
+/// `uv`, and a member avoiding both `u` and `v` would be an r-subset of
+/// the other `s − 2` vertices — impossible when `s = r + 1`, as in the
+/// (1,2), (2,3) and (3,4) spaces. (Spaces with `s ≥ r + 2` need their own
+/// seed.) The repair closes one hop through containers itself.
+///
+/// # Panics
+/// Panics when `new_to_old` or `kappa` don't match `space`.
+pub fn repair_dirty_seed(
+    space: &CachedSpace,
+    new_to_old: &[u32],
+    old_kappa: &[u32],
+    kappa: &[u32],
+    batch_ends: &[VertexId],
+) -> Vec<u32> {
+    let n = space.num_cliques();
+    assert_eq!(new_to_old.len(), n, "new_to_old length must match clique count");
+    assert_eq!(kappa.len(), n, "kappa length must match clique count");
+    // Vertex-indexed bitmap of the batch endpoints.
+    let words = batch_ends.iter().map(|&v| v as usize / 64 + 1).max().unwrap_or(0);
+    let mut is_end = vec![0u64; words];
+    for &v in batch_ends {
+        is_end[v as usize / 64] |= 1 << (v % 64);
+    }
+    let touches = |v: VertexId| is_end.get(v as usize / 64).is_some_and(|w| w >> (v % 64) & 1 == 1);
+    let r = space.r();
+    let rows = space.all_clique_vertices().chunks_exact(r);
+    let mut seed = Vec::new();
+    for (i, ((&o, &k), verts)) in new_to_old.iter().zip(kappa).zip(rows).enumerate() {
+        if o == NO_ID || old_kappa[o as usize] != k || verts.iter().any(|&v| touches(v)) {
+            seed.push(i as u32);
+        }
+    }
+    seed
+}
+
 /// Repairs `old` (the forest of the pre-batch graph) into the forest of
 /// the post-batch `space` with exact new `kappa`, reusing every subtree
 /// the batch provably did not perturb.
@@ -84,12 +129,11 @@ pub struct RepairStats {
 ///
 /// `dirty_seed` (new ids) must contain every surviving clique whose
 /// **container set** changed (a containing s-clique was created or
-/// destroyed). The warm refresh's initially-awake set
-/// ([`crate::incremental::RefreshOutcome::perturbed`]) satisfies this by
-/// construction. κ-changes are derived internally (the old forest knows
-/// every old clique's κ — its owning node's `k`), so callers need not
-/// compute them, and batch-created cliques are always dirty regardless of
-/// the seed. Over-approximating the seed costs time, never correctness.
+/// destroyed); [`repair_dirty_seed`] derives one from the batch. κ-changes
+/// are derived internally (the old forest knows every old clique's κ — its
+/// owning node's `k`), and batch-created cliques are always dirty
+/// regardless of the seed. Over-approximating the seed costs time, never
+/// correctness.
 ///
 /// # Panics
 /// Panics when `kappa` or `new_to_old` don't match `space`, or when an id

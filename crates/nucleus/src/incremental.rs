@@ -1,410 +1,29 @@
-//! Incremental maintenance of κ indices under edge updates — generic over
-//! the clique space.
+//! Exact maintenance of κ indices under edge updates — generic over the
+//! clique space.
 //!
-//! The paper's peeling baseline must restart from scratch when the graph
-//! changes; the local formulation does not. Because the asynchronous
-//! iteration converges to the exact κ from *any* pointwise upper bound
-//! (see [`crate::asynchronous::and_resume`]), a stale decomposition is a
-//! valid warm start once it is lifted back above the new κ:
+//! An edge batch is applied by **splicing** the graph, the kind's clique
+//! substrate and the resident [`CachedSpace`] snapshot
+//! ([`hdsd_graph::apply_edge_batch`] plus [`SpaceKind::apply_delta`]), so
+//! an update never re-enumerates the clique universe. κ is then recomputed
+//! by a plain **re-peel** of the spliced snapshot's resident flat rows.
 //!
-//! * **deletions** — κ never increases (any witness sub-hypergraph of the
-//!   smaller graph is one of the larger), so the stale τ is already an
-//!   upper bound (clamped against the new degrees);
-//! * **insertions** — a single edge insertion raises any κ by at most one
-//!   in *every* supported space. For cores this is the classic Li–Yu /
-//!   Sarıyüce et al. bound; for trusses it is Huang et al.'s: a new edge
-//!   `e` participates in at most one triangle with any fixed surviving
-//!   edge, so removing `e` from a witness subgraph costs each edge at most
-//!   one triangle. The same counting works for the (3,4) nucleus: a K4
-//!   containing a surviving triangle `T` and the new edge `e = (u, v)`
-//!   must be `T ∪ {w}` with `w` an endpoint of `e` and the other endpoint
-//!   in `T` — at most one such K4 per insertion. Hence
-//!   `stale + #insertions`, clamped against the new degrees, is an upper
-//!   bound for a batch.
-//!
-//! The wrinkle relative to the (1,2) case is that r-clique **ids are not
-//! stable** across graph rebuilds: edge and triangle ids are positional.
-//! Stale κ values are therefore carried across by clique *identity* — the
-//! sorted vertex set ([`CliqueKey`]) — and r-cliques created by the batch
-//! (which have no stale value) start from their new S-degree.
-//!
-//! Lifting *every* clique by the batch size is sound but wasteful: the
-//! uniform inflation drains as slowly as a cold run. The refresh therefore
-//! lifts only the **candidate set** — the generalization of the classic
-//! incremental-k-core "subcore traversal" to arbitrary clique spaces:
-//!
-//! > If κ(i) increases, the witness sub-hypergraph for its new value is
-//! > S-connected, contains a container created by the batch, and all its
-//! > members j satisfy κ'(j) ≥ κ(i) + 1, hence stale κ(j) ≥ κ(i) + 1 − b.
-//!
-//! So only cliques reachable from a batch-touched container through
-//! cliques of stale κ ≥ κ(i) + 1 − b can rise (see
-//! [`warm_tau_init_local`]); everything else warm-starts *at* its
-//! fixpoint and goes idle after one recomputation. The refresh then
-//! converges in a handful of sweeps instead of a full decomposition —
-//! measured by the `sweeps` telemetry, asserted in the tests, and
-//! reported in `BENCH_service.json`.
+//! The paper's asynchronous iteration could instead be resumed from the
+//! stale κ — it converges from any pointwise upper bound
+//! ([`crate::asynchronous::and_resume`]) — but its certification sweep
+//! recomputes every clique at least once, and on the service bench such a
+//! warm refresh lost to a peel of the same spliced rows in every space.
+//! The local algorithms keep their place where the paper argues they win:
+//! query-driven, budgeted estimates ([`crate::query`]).
 
-use std::collections::HashMap;
 use std::marker::PhantomData;
 
-use hdsd_graph::{CsrDelta, CsrGraph, GraphBuilder, TriangleList, VertexId};
+use hdsd_graph::{CsrDelta, CsrGraph, TriangleList, VertexId};
 
-use crate::asynchronous::{and_resume_awake_within, Order};
-use crate::cancel::{CancelToken, Cancelled};
-use crate::convergence::{ConvergenceResult, LocalConfig};
+use crate::cancel::CancelToken;
+use crate::convergence::LocalConfig;
 use crate::delta::SpaceDelta;
+use crate::peel::PeelEngine;
 use crate::space::{CachedSpace, CliqueSpace, CoreSpace, Nucleus34Space, TrussSpace};
-
-/// Identity of an r-clique across graph rebuilds: its sorted vertex ids,
-/// padded with `u32::MAX` (r ≤ 3 for all supported spaces).
-pub type CliqueKey = [VertexId; 3];
-
-/// Multiply-xor hasher for [`CliqueKey`]s: the stale maps hash every
-/// clique of both graph versions on every refresh, so SipHash would
-/// dominate the warm-start cost.
-#[derive(Clone, Copy, Default)]
-pub struct KeyHasher(u64);
-
-impl std::hash::Hasher for KeyHasher {
-    #[inline]
-    fn finish(&self) -> u64 {
-        let mut h = self.0;
-        h ^= h >> 33;
-        h = h.wrapping_mul(0xFF51AFD7ED558CCD);
-        h ^= h >> 33;
-        h
-    }
-
-    #[inline]
-    fn write(&mut self, bytes: &[u8]) {
-        // This is the path `[u32; 3]` keys actually take (std hashes the
-        // array as one 12-byte slice): fold whole words, not bytes.
-        let mut chunks = bytes.chunks_exact(8);
-        for c in &mut chunks {
-            self.write_u64(u64::from_le_bytes(c.try_into().unwrap()));
-        }
-        let rest = chunks.remainder();
-        if !rest.is_empty() {
-            let mut tail = [0u8; 8];
-            tail[..rest.len()].copy_from_slice(rest);
-            self.write_u64(u64::from_le_bytes(tail) | ((rest.len() as u64) << 56));
-        }
-    }
-
-    #[inline]
-    fn write_u8(&mut self, v: u8) {
-        self.write_u64(v as u64);
-    }
-
-    #[inline]
-    fn write_u32(&mut self, v: u32) {
-        self.write_u64(v as u64);
-    }
-
-    #[inline]
-    fn write_u64(&mut self, v: u64) {
-        self.0 = (self.0 ^ v).wrapping_mul(0x9E3779B97F4A7C15).rotate_left(27);
-    }
-
-    #[inline]
-    fn write_usize(&mut self, v: usize) {
-        self.write_u64(v as u64);
-    }
-}
-
-/// The stale-κ identity map type (fast non-cryptographic hashing).
-pub type StaleMap = HashMap<CliqueKey, u32, std::hash::BuildHasherDefault<KeyHasher>>;
-
-/// The identity key of r-clique `i` in `space`.
-pub fn clique_key<S: CliqueSpace>(space: &S, i: usize, scratch: &mut Vec<VertexId>) -> CliqueKey {
-    scratch.clear();
-    space.vertices_of(i, scratch);
-    scratch.sort_unstable();
-    // Hard assert: truncating an r > 3 clique would silently collide
-    // distinct cliques in the stale map and break the warm start's
-    // upper-bound premise (the generic space can exceed r = 3).
-    assert!(scratch.len() <= 3, "clique arity {} exceeds the key width", scratch.len());
-    let mut key = [VertexId::MAX; 3];
-    for (slot, &v) in key.iter_mut().zip(scratch.iter()) {
-        *slot = v;
-    }
-    key
-}
-
-/// Maps every r-clique of `space` to its κ by identity, for carrying a
-/// stale decomposition across a graph rebuild.
-pub fn stale_kappa_map<S: CliqueSpace>(space: &S, kappa: &[u32]) -> StaleMap {
-    assert_eq!(kappa.len(), space.num_cliques(), "kappa length mismatch");
-    let mut map = StaleMap::with_capacity_and_hasher(kappa.len(), Default::default());
-    let mut scratch = Vec::new();
-    for (i, &k) in kappa.iter().enumerate() {
-        map.insert(clique_key(space, i, &mut scratch), k);
-    }
-    map
-}
-
-/// The warm-start τ for `new_space`: stale κ looked up by identity, lifted
-/// by `lift` (the number of edges inserted since the stale κ was exact) and
-/// clamped to the new S-degrees; r-cliques with no stale value (created by
-/// the batch) start from their S-degree.
-///
-/// This is the simple, uniformly-lifted bound. Prefer
-/// [`warm_tau_init_local`], which lifts only the cliques the batch can
-/// actually have raised and converges in far fewer sweeps.
-pub fn warm_tau_init<S: CliqueSpace>(stale: &StaleMap, new_space: &S, lift: u32) -> Vec<u32> {
-    let mut scratch = Vec::new();
-    (0..new_space.num_cliques())
-        .map(|i| {
-            let d = new_space.degree(i);
-            match stale.get(&clique_key(new_space, i, &mut scratch)) {
-                Some(&k) => k.saturating_add(lift).min(d),
-                None => d,
-            }
-        })
-        .collect()
-}
-
-/// Union–find with path halving; roots carry a "component contains a
-/// batch seed" flag.
-struct SeedForest {
-    parent: Vec<u32>,
-    has_seed: Vec<bool>,
-}
-
-impl SeedForest {
-    fn new(n: usize) -> Self {
-        SeedForest { parent: (0..n as u32).collect(), has_seed: vec![false; n] }
-    }
-
-    fn find(&mut self, mut x: u32) -> u32 {
-        while self.parent[x as usize] != x {
-            self.parent[x as usize] = self.parent[self.parent[x as usize] as usize];
-            x = self.parent[x as usize];
-        }
-        x
-    }
-
-    fn union(&mut self, a: u32, b: u32) {
-        let (ra, rb) = (self.find(a), self.find(b));
-        if ra != rb {
-            let seed = self.has_seed[ra as usize] || self.has_seed[rb as usize];
-            self.parent[rb as usize] = ra;
-            self.has_seed[ra as usize] = seed;
-        }
-    }
-}
-
-/// A warm start for [`crate::asynchronous::and_resume_awake`]: the τ upper
-/// bound plus the cliques that need a first look.
-pub struct WarmStart {
-    /// Pointwise upper bound on the new κ.
-    pub tau: Vec<u32>,
-    /// Cliques the batch may have perturbed (new, container-changed, or
-    /// lift candidates) — the initial And worklist.
-    pub awake: Vec<u32>,
-    /// How many surviving cliques were lifted (the candidate set; its
-    /// smallness is what makes the warm start cheap).
-    pub lifted: usize,
-}
-
-/// The locally-lifted warm start for `new_space` after a batch that
-/// inserted `lift` edges with endpoints `inserted_ends` and removed edges
-/// with endpoints `removed_ends` (endpoint supersets are fine).
-///
-/// Correctness of the lift: if κ(i) rose to `k + 1` or more, the witness
-/// sub-hypergraph for that value is S-connected, contains a container
-/// created by the batch (otherwise it already existed, contradicting the
-/// stale κ), and every member `j` has new κ ≥ k + 1, hence stale
-/// κ(j) ≥ k + 1 − `lift` (the uniform batch bound). A container created
-/// by the batch contains an inserted edge, so some member's vertex set
-/// meets `inserted_ends`. Candidates are therefore exactly the cliques
-/// reachable from a batch-touched clique (or one of its container
-/// partners, covering the whole container) through cliques of stale
-/// κ ≥ κ(i) + 1 − `lift` — computed here with one κ-descending
-/// union–find pass over the container adjacency, the generalization of
-/// the incremental-k-core "subcore traversal" to every clique space.
-/// Candidates start from `stale + lift` (clamped to the new degree),
-/// brand-new cliques from their degree, and everything else *at* its
-/// stale value, which deletion monotonicity keeps a valid upper bound.
-///
-/// The awake set contains every clique whose value or containers the
-/// batch may have changed: candidates, new cliques, cliques with a batch
-/// endpoint among their vertices, and the container partners of all of
-/// those (covering spaces where a changed container has members disjoint
-/// from the changed edge). Everything else starts asleep and is woken by
-/// the notification mechanism if a neighbor's drop cascades to it; the
-/// final certification sweep guarantees exactness regardless.
-pub fn warm_tau_init_local<S: CliqueSpace>(
-    stale: &StaleMap,
-    new_space: &S,
-    inserted_ends: &[VertexId],
-    removed_ends: &[VertexId],
-    lift: u32,
-) -> WarmStart {
-    let n = new_space.num_cliques();
-    let mut scratch = Vec::new();
-    let stale_of: Vec<Option<u32>> =
-        (0..n).map(|i| stale.get(&clique_key(new_space, i, &mut scratch)).copied()).collect();
-    warm_tau_init_of(&stale_of, new_space, inserted_ends, removed_ends, lift)
-}
-
-/// [`warm_tau_init_local`] with the stale κ already resolved per new
-/// clique id — the form the delta-maintained update path produces
-/// directly from its id remaps, skipping the identity-map hashing of both
-/// graph versions entirely (`stale_of[i]` is `None` for batch-created
-/// cliques).
-pub fn warm_tau_init_of<S: CliqueSpace>(
-    stale_of: &[Option<u32>],
-    new_space: &S,
-    inserted_ends: &[VertexId],
-    removed_ends: &[VertexId],
-    lift: u32,
-) -> WarmStart {
-    let n = new_space.num_cliques();
-    assert_eq!(stale_of.len(), n, "stale_of length mismatch");
-    let mut scratch = Vec::new();
-    let clamp = |i: usize, v: u32| v.min(new_space.degree(i));
-
-    // Cliques touching any batch endpoint, plus their container partners:
-    // the only places a container can have appeared or disappeared. The
-    // insertion-touched subset seeds the candidate traversal.
-    let all_ends: std::collections::HashSet<VertexId> =
-        inserted_ends.iter().chain(removed_ends).copied().collect();
-    let ins_ends: std::collections::HashSet<VertexId> = inserted_ends.iter().copied().collect();
-    let mut awake = vec![false; n];
-    let mut seed = vec![false; n];
-    for i in 0..n {
-        scratch.clear();
-        new_space.vertices_of(i, &mut scratch);
-        if stale_of[i].is_none() {
-            awake[i] = true;
-            seed[i] = true;
-        } else if scratch.iter().any(|v| all_ends.contains(v)) {
-            awake[i] = true;
-            seed[i] = scratch.iter().any(|v| ins_ends.contains(v));
-        }
-    }
-    let direct: Vec<usize> = (0..n).filter(|&i| awake[i]).collect();
-    for &i in &direct {
-        let spread = seed[i];
-        new_space.for_each_neighbor(i, |o| {
-            awake[o] = true;
-            if spread {
-                seed[o] = true;
-            }
-        });
-    }
-
-    let mut candidate = vec![false; n];
-    if lift > 0 {
-        // Bottleneck traversal on the *cap*: the new kappa'(j) can never
-        // exceed cap(j) = min(stale kappa(j) + lift, d_s'(j)), so a witness
-        // path for "kappa(i) rose past its stale value" runs entirely
-        // through cliques with cap >= stale kappa(i) + 1. Activate cliques
-        // in descending cap order (new cliques cap at their degree) and
-        // resolve each clique's check once its threshold's active set is
-        // complete.
-        let cap = |i: usize| match stale_of[i] {
-            Some(k) => k.saturating_add(lift).min(new_space.degree(i)),
-            None => new_space.degree(i),
-        };
-        let mut by_level: Vec<u32> = (0..n as u32).collect();
-        by_level.sort_unstable_by_key(|&i| std::cmp::Reverse(cap(i as usize)));
-        let check_level = |i: usize| stale_of[i].unwrap_or(0) + 1;
-        let mut checks: Vec<u32> =
-            (0..n as u32).filter(|&i| stale_of[i as usize].is_some()).collect();
-        checks.sort_unstable_by_key(|&i| std::cmp::Reverse(check_level(i as usize)));
-
-        let mut forest = SeedForest::new(n);
-        let mut active = vec![false; n];
-        let mut next_check = 0usize;
-        let mut at = 0usize;
-        while at < n {
-            let t = cap(by_level[at] as usize);
-            // Resolve pending checks whose threshold exceeds this level:
-            // their active set is exactly the cliques activated so far.
-            while next_check < checks.len() && check_level(checks[next_check] as usize) > t {
-                let i = checks[next_check];
-                next_check += 1;
-                // A clique whose own cap is below its check threshold
-                // cannot rise at all (inactive here => not a candidate).
-                if active[i as usize] {
-                    let r = forest.find(i);
-                    candidate[i as usize] = forest.has_seed[r as usize];
-                }
-            }
-            // Activate this level, unioning with already-active partners.
-            while at < n && cap(by_level[at] as usize) == t {
-                let i = by_level[at];
-                at += 1;
-                active[i as usize] = true;
-                if seed[i as usize] {
-                    let r = forest.find(i);
-                    forest.has_seed[r as usize] = true;
-                }
-                new_space.for_each_neighbor(i as usize, |o| {
-                    if active[o] {
-                        forest.union(i, o as u32);
-                    }
-                });
-            }
-        }
-        for &i in &checks[next_check..] {
-            let r = forest.find(i);
-            candidate[i as usize] = forest.has_seed[r as usize];
-        }
-    }
-
-    let mut lifted = 0usize;
-    let tau: Vec<u32> = (0..n)
-        .map(|i| match stale_of[i] {
-            Some(k) if candidate[i] => {
-                lifted += 1;
-                awake[i] = true;
-                clamp(i, k.saturating_add(lift))
-            }
-            Some(k) => clamp(i, k),
-            None => new_space.degree(i),
-        })
-        .collect();
-    let awake: Vec<u32> = (0..n as u32).filter(|&i| awake[i as usize]).collect();
-    WarmStart { tau, awake, lifted }
-}
-
-/// Applies a batch of insertions and removals to `graph`, returning the new
-/// graph and the number of edges actually inserted (duplicates, self-loops
-/// and absent removals are ignored). Vertex ids are preserved; the vertex
-/// set grows to cover inserted endpoints.
-pub fn rebuild_graph(
-    graph: &CsrGraph,
-    insert: &[(VertexId, VertexId)],
-    remove: &[(VertexId, VertexId)],
-) -> (CsrGraph, u32) {
-    let drop: std::collections::HashSet<(u32, u32)> =
-        remove.iter().map(|&(u, v)| (u.min(v), u.max(v))).collect();
-    let new_n = insert
-        .iter()
-        .map(|&(u, v)| u.max(v) as usize + 1)
-        .max()
-        .unwrap_or(0)
-        .max(graph.num_vertices());
-    let mut b =
-        GraphBuilder::with_capacity(graph.num_edges() + insert.len()).with_num_vertices(new_n);
-    let mut kept = 0usize;
-    for &(u, v) in graph.edges() {
-        if !drop.contains(&(u, v)) {
-            b.add_edge(u, v);
-            kept += 1;
-        }
-    }
-    for &(u, v) in insert {
-        b.add_edge(u, v);
-    }
-    let new_graph = b.build();
-    let inserted = new_graph.num_edges().saturating_sub(kept) as u32;
-    (new_graph, inserted)
-}
 
 /// A family of clique spaces constructible from any graph — the hook that
 /// lets [`Incremental`] (and the `hdsd-service` engine) rebuild its space
@@ -439,16 +58,6 @@ pub trait SpaceKind: 'static {
         new_graph: &CsrGraph,
         ed: &CsrDelta,
     ) -> SpaceDelta;
-    /// The stale-κ identity map for a graph whose space may no longer
-    /// exist. The default builds the space; kinds whose keys are readable
-    /// straight off the graph override it to skip that cost.
-    fn stale_map(graph: &CsrGraph, kappa: &[u32]) -> StaleMap {
-        Self::stale_map_from(&Self::build(graph), kappa)
-    }
-    /// The stale-κ identity map for an already-built space.
-    fn stale_map_from(space: &Self::Space<'_>, kappa: &[u32]) -> StaleMap {
-        stale_kappa_map(space, kappa)
-    }
 }
 
 /// The (1,2) k-core kind: r-cliques are vertices, ids are stable.
@@ -473,14 +82,6 @@ impl SpaceKind for CoreKind {
         _ed: &CsrDelta,
     ) -> SpaceDelta {
         crate::delta::core_space_delta(new_graph, old_graph.num_vertices())
-    }
-    fn stale_map(graph: &CsrGraph, kappa: &[u32]) -> StaleMap {
-        // Vertex ids are the clique ids; no space construction needed.
-        let mut map = StaleMap::with_capacity_and_hasher(kappa.len(), Default::default());
-        for (v, &k) in kappa.iter().enumerate().take(graph.num_vertices()) {
-            map.insert([v as VertexId, VertexId::MAX, VertexId::MAX], k);
-        }
-        map
     }
 }
 
@@ -511,16 +112,6 @@ impl SpaceKind for TrussKind {
         let out = crate::delta::truss_space_delta(old_cached, substrate, new_graph, ed, &td);
         *substrate = td.list;
         out
-    }
-    fn stale_map(graph: &CsrGraph, kappa: &[u32]) -> StaleMap {
-        // Edge endpoints come straight off the edge list; skip the
-        // per-edge triangle counting a space build would pay.
-        assert_eq!(kappa.len(), graph.num_edges(), "kappa length mismatch");
-        let mut map = StaleMap::with_capacity_and_hasher(kappa.len(), Default::default());
-        for (&(u, v), &k) in graph.edges().iter().zip(kappa) {
-            map.insert([u.min(v), u.max(v), VertexId::MAX], k);
-        }
-        map
     }
 }
 
@@ -556,137 +147,13 @@ impl SpaceKind for Nucleus34Kind {
     }
 }
 
-/// Outcome of one warm refresh (see [`refresh_resume`]).
-pub struct RefreshOutcome {
-    /// Full convergence telemetry; `result.tau` is the exact new κ.
-    pub result: ConvergenceResult,
-    /// Cliques seeded awake (batch-perturbed).
-    pub awake: usize,
-    /// Surviving cliques lifted by the candidate traversal.
-    pub lifted: usize,
-    /// The initially-awake clique ids (`awake` is its length): every
-    /// clique the batch may have touched structurally — new cliques,
-    /// cliques in a created/destroyed container, candidates, and their
-    /// container partners. This is exactly the dirty-seed contract of
-    /// [`crate::hierarchy::repair_hierarchy`].
-    pub perturbed: Vec<u32>,
-}
-
-impl RefreshOutcome {
-    /// The dirty seed for an incremental hierarchy repair after this
-    /// refresh: the structurally perturbed set plus every clique whose κ
-    /// actually changed (cascaded drops can reach initially-asleep
-    /// cliques). `stale_of` must be the same vector the refresh ran with.
-    pub fn repair_dirty_seed(&self, stale_of: &[Option<u32>]) -> Vec<u32> {
-        repair_dirty_seed(&self.perturbed, stale_of, &self.result.tau)
-    }
-}
-
-/// The canonical warm refresh, shared by [`Incremental::update_edges`] and
-/// the `hdsd-service` engine: candidate-lifted warm start over the stale
-/// identity map ([`warm_tau_init_local`]), τ-sorted processing order (the
-/// warm τ is within `inserted` of κ, so this approximates the Theorem-4
-/// peeling order), and an awake-seeded resume whose certification sweep
-/// guarantees the exact κ of the new graph.
-pub fn refresh_resume<S: CliqueSpace>(
-    stale: &StaleMap,
-    new_space: &S,
-    inserted_ends: &[VertexId],
-    removed_ends: &[VertexId],
-    inserted: u32,
-    cfg: &LocalConfig,
-) -> RefreshOutcome {
-    let warm = warm_tau_init_local(stale, new_space, inserted_ends, removed_ends, inserted);
-    resume_from(warm, new_space, cfg)
-}
-
-/// [`refresh_resume`] with the stale κ resolved positionally (see
-/// [`warm_tau_init_of`]): the warm refresh of the delta-maintained update
-/// path, with no identity hashing anywhere.
-pub fn refresh_resume_of<S: CliqueSpace>(
-    stale_of: &[Option<u32>],
-    new_space: &S,
-    inserted_ends: &[VertexId],
-    removed_ends: &[VertexId],
-    inserted: u32,
-    cfg: &LocalConfig,
-) -> RefreshOutcome {
-    refresh_resume_of_within(
-        stale_of,
-        new_space,
-        inserted_ends,
-        removed_ends,
-        inserted,
-        cfg,
-        &CancelToken::none(),
-    )
-    .expect("an unarmed token never cancels")
-}
-
-/// [`refresh_resume_of`] with cooperative cancellation threaded into the
-/// underlying And resume ([`crate::and_resume_awake_within`]). The warm
-/// start itself (candidate traversal + τ sort) is not cancellable — it is
-/// linear in the batch's neighborhood, not in the graph — so a trip lands
-/// at the first sweep boundary. On `Err` nothing has been published;
-/// callers keep serving the stale decomposition.
-#[allow(clippy::too_many_arguments)]
-pub fn refresh_resume_of_within<S: CliqueSpace>(
-    stale_of: &[Option<u32>],
-    new_space: &S,
-    inserted_ends: &[VertexId],
-    removed_ends: &[VertexId],
-    inserted: u32,
-    cfg: &LocalConfig,
-    cancel: &CancelToken,
-) -> Result<RefreshOutcome, Cancelled> {
-    let warm = warm_tau_init_of(stale_of, new_space, inserted_ends, removed_ends, inserted);
-    resume_from_within(warm, new_space, cfg, cancel)
-}
-
-fn resume_from<S: CliqueSpace>(
-    warm: WarmStart,
-    new_space: &S,
-    cfg: &LocalConfig,
-) -> RefreshOutcome {
-    resume_from_within(warm, new_space, cfg, &CancelToken::none())
-        .expect("an unarmed token never cancels")
-}
-
-fn resume_from_within<S: CliqueSpace>(
-    warm: WarmStart,
-    new_space: &S,
-    cfg: &LocalConfig,
-    cancel: &CancelToken,
-) -> Result<RefreshOutcome, Cancelled> {
-    hdsd_telemetry::span!("refresh.resume");
-    let mut order: Vec<u32> = (0..warm.tau.len() as u32).collect();
-    order.sort_unstable_by_key(|&i| warm.tau[i as usize]);
-    let result = and_resume_awake_within(
-        new_space,
-        cfg,
-        &Order::Custom(order),
-        warm.tau,
-        &warm.awake,
-        cancel,
-        &mut |_| {},
-    )?;
-    debug_assert!(result.converged);
-    Ok(RefreshOutcome {
-        result,
-        awake: warm.awake.len(),
-        lifted: warm.lifted,
-        perturbed: warm.awake,
-    })
-}
-
 /// Dynamically maintained decomposition of one space kind.
 ///
 /// Owns the graph, the kind's clique substrate, and the space snapshot;
 /// [`Incremental::insert_edges`] and [`Incremental::remove_edges`] apply a
 /// batch by **splicing** all three ([`hdsd_graph::apply_edge_batch`] plus
-/// [`SpaceKind::apply_delta`]) and refresh κ by a warm-started local run
-/// whose stale values carry over positionally through the id remaps — no
-/// graph rebuild, no global triangle/K4 recount, no identity hashing.
+/// [`SpaceKind::apply_delta`]) and re-peel the spliced snapshot — no graph
+/// rebuild and no global triangle/K4 recount.
 /// `Incremental<CoreKind>` is the historical [`IncrementalCore`];
 /// `Incremental<TrussKind>` and `Incremental<Nucleus34Kind>` maintain
 /// truss and (3,4)-nucleus indices the same way.
@@ -708,19 +175,13 @@ impl<K: SpaceKind> Incremental<K> {
         Self::with_config(graph, LocalConfig::sequential())
     }
 
-    /// Builds the initial decomposition with a custom refresh config.
+    /// Builds the initial decomposition; `cfg.parallel` picks the peel
+    /// engine for this and every later batch (the barrier-free drain when
+    /// it asks for threads — κ is bit-identical either way).
     pub fn with_config(graph: CsrGraph, cfg: LocalConfig) -> Self {
         let substrate = K::init_substrate(&graph);
         let cached = K::build_cached(&graph, &substrate);
-        // The snapshot's container rows are already flat: peel them with
-        // the monomorphized engine instead of re-walking the callbacks —
-        // through the barrier-free drain when the config asks for threads
-        // (κ is bit-identical either way).
-        let kappa = if cfg.parallel.threads > 1 {
-            crate::peel::peel_parallel_flat(cached.flat(), cfg.parallel).kappa
-        } else {
-            crate::peel::peel_flat(cached.flat()).kappa
-        };
+        let kappa = peel_kappa(&cached, &cfg);
         Incremental { graph, substrate, cached, kappa, cfg, _kind: PhantomData }
     }
 
@@ -740,108 +201,62 @@ impl<K: SpaceKind> Incremental<K> {
     }
 
     /// Inserts a batch of edges (duplicates and self-loops ignored) and
-    /// refreshes κ. Returns the number of sweeps the refresh needed.
-    pub fn insert_edges(&mut self, edges: &[(VertexId, VertexId)]) -> usize {
+    /// re-peels κ.
+    pub fn insert_edges(&mut self, edges: &[(VertexId, VertexId)]) -> BatchOutcome {
         self.update_edges(edges, &[])
     }
 
-    /// Removes a batch of edges (absent edges ignored) and refreshes κ.
-    /// Returns the number of sweeps the refresh needed.
-    pub fn remove_edges(&mut self, edges: &[(VertexId, VertexId)]) -> usize {
+    /// Removes a batch of edges (absent edges ignored) and re-peels κ.
+    pub fn remove_edges(&mut self, edges: &[(VertexId, VertexId)]) -> BatchOutcome {
         self.update_edges(&[], edges)
     }
 
-    /// Applies a mixed batch in one splice + one warm-started refresh.
-    /// Returns the number of sweeps the refresh needed.
-    pub fn update_edges(
-        &mut self,
-        insert: &[(VertexId, VertexId)],
-        remove: &[(VertexId, VertexId)],
-    ) -> usize {
-        self.update_edges_outcome(insert, remove).sweeps
-    }
-
-    /// [`Incremental::update_edges`] returning the full batch outcome: the
-    /// clique-id remap and the changed-κ/perturbed set the refresh already
-    /// computes internally — everything [`Hierarchy::repair`] needs to
-    /// repair a forest of the pre-batch graph instead of rebuilding it.
+    /// Applies a mixed batch in one splice + one re-peel, returning what
+    /// [`Hierarchy::repair`] needs to repair a forest of the pre-batch
+    /// graph instead of rebuilding it.
     ///
     /// [`Hierarchy::repair`]: crate::hierarchy::Hierarchy::repair
-    pub fn update_edges_outcome(
+    pub fn update_edges(
         &mut self,
         insert: &[(VertexId, VertexId)],
         remove: &[(VertexId, VertexId)],
     ) -> BatchOutcome {
         let (new_graph, ed) = hdsd_graph::apply_edge_batch(&self.graph, insert, remove);
-        let old_num_cliques = self.cached.num_cliques();
         let sd = K::apply_delta(&mut self.substrate, &self.cached, &self.graph, &new_graph, &ed);
-        // Stale κ carried positionally: new clique → old clique → old κ.
-        let stale_of: Vec<Option<u32>> = sd
-            .new_to_old
-            .iter()
-            .map(|&o| if o == hdsd_graph::NO_ID { None } else { Some(self.kappa[o as usize]) })
-            .collect();
-        let ins_ends = ed.inserted_endpoints(&new_graph);
-        let rm_ends = ed.removed_endpoints(&self.graph);
-        let out =
-            refresh_resume_of(&stale_of, &sd.cached, &ins_ends, &rm_ends, ed.inserted(), &self.cfg);
+        let kappa = peel_kappa(&sd.cached, &self.cfg);
+        let mut batch_ends = ed.inserted_endpoints(&new_graph);
+        batch_ends.extend(ed.removed_endpoints(&self.graph));
         self.graph = new_graph;
         self.cached = sd.cached;
-        self.kappa = out.result.tau;
         BatchOutcome {
-            sweeps: out.result.sweeps,
-            old_num_cliques,
             new_to_old: sd.new_to_old,
-            perturbed: out.perturbed,
-            stale_of,
+            old_kappa: std::mem::replace(&mut self.kappa, kappa),
+            batch_ends,
         }
     }
 }
 
-/// What one [`Incremental::update_edges_outcome`] batch did — the inputs a
-/// hierarchy repair needs, reported instead of recomputed.
+/// Exact κ of a snapshot, peeled in place on its flat rows by the engine
+/// `cfg.parallel` selects.
+fn peel_kappa(cached: &CachedSpace, cfg: &LocalConfig) -> Vec<u32> {
+    PeelEngine::new()
+        .peel_with(cached.flat(), cfg.parallel, &CancelToken::none())
+        .expect("an unarmed token never cancels")
+        .kappa
+}
+
+/// What one [`Incremental::update_edges`] batch did — the inputs of
+/// [`crate::hierarchy::repair_dirty_seed`] and [`Hierarchy::repair`],
+/// reported instead of recomputed.
+///
+/// [`Hierarchy::repair`]: crate::hierarchy::Hierarchy::repair
 pub struct BatchOutcome {
-    /// Sweeps the warm refresh needed.
-    pub sweeps: usize,
-    /// Clique count of the pre-batch space.
-    pub old_num_cliques: usize,
     /// New clique id → old clique id ([`hdsd_graph::NO_ID`] for created).
     pub new_to_old: Vec<u32>,
-    /// New clique ids the refresh seeded awake (structurally perturbed).
-    pub perturbed: Vec<u32>,
-    /// Stale κ per new clique id, as the refresh ran with it (`None` for
-    /// batch-created cliques). Kept so the dirty seed can be derived on
-    /// demand instead of on every batch.
-    stale_of: Vec<Option<u32>>,
-}
-
-impl BatchOutcome {
-    /// The dirty seed for repairing a hierarchy across this batch:
-    /// `perturbed` plus every clique whose κ actually changed. `kappa`
-    /// must be the post-batch exact κ (i.e. [`Incremental::kappa`] right
-    /// after the update). Computed lazily — only hierarchy-repairing
-    /// callers pay the scan.
-    pub fn repair_dirty_seed(&self, kappa: &[u32]) -> Vec<u32> {
-        repair_dirty_seed(&self.perturbed, &self.stale_of, kappa)
-    }
-}
-
-/// `perturbed ∪ {i : stale_of[i] ≠ Some(kappa[i])}` — the dirty-seed
-/// contract of [`crate::hierarchy::repair_hierarchy`], shared by
-/// [`RefreshOutcome::repair_dirty_seed`] and
-/// [`BatchOutcome::repair_dirty_seed`].
-fn repair_dirty_seed(perturbed: &[u32], stale_of: &[Option<u32>], kappa: &[u32]) -> Vec<u32> {
-    assert_eq!(stale_of.len(), kappa.len(), "stale_of length mismatch");
-    let mut dirty = vec![false; kappa.len()];
-    for &i in perturbed {
-        dirty[i as usize] = true;
-    }
-    for (i, (&stale, &k)) in stale_of.iter().zip(kappa).enumerate() {
-        if stale != Some(k) {
-            dirty[i] = true;
-        }
-    }
-    (0..kappa.len() as u32).filter(|&i| dirty[i as usize]).collect()
+    /// κ of the pre-batch space, indexed by old clique id.
+    pub old_kappa: Vec<u32>,
+    /// Endpoints of the edges the batch actually inserted or removed.
+    pub batch_ends: Vec<VertexId>,
 }
 
 impl Incremental<CoreKind> {
@@ -857,7 +272,6 @@ mod tests {
     use super::*;
     use crate::api::core_numbers;
     use crate::peel::peel;
-    use crate::snd::snd;
 
     fn check_exact(inc: &IncrementalCore) {
         assert_eq!(inc.core_numbers(), core_numbers(inc.graph()).as_slice());
@@ -953,75 +367,6 @@ mod tests {
     }
 
     #[test]
-    fn warm_start_uses_fewer_sweeps_than_cold_start() {
-        let g = hdsd_datasets::thin_edges(&hdsd_datasets::holme_kim(800, 8, 0.5, 9), 0.7, 9);
-        let cold = {
-            let space = CoreSpace::new(&g);
-            snd(&space, &LocalConfig::sequential()).sweeps
-        };
-        let mut inc = IncrementalCore::new(g);
-        let sweeps = inc.insert_edges(&[(0, 400)]);
-        assert!(sweeps < cold, "warm start took {sweeps} sweeps, cold start {cold}");
-        check_exact(&inc);
-    }
-
-    /// Shared harness: applies a mixed batch through the warm-start path
-    /// and asserts exactness plus a strictly cheaper refresh than a cold
-    /// And run on the updated graph (both sweeps and recomputations).
-    fn assert_warm_beats_cold<K: SpaceKind>(
-        g: hdsd_graph::CsrGraph,
-        insert: &[(u32, u32)],
-        remove: &[(u32, u32)],
-    ) {
-        let cfg = LocalConfig::sequential();
-        let kappa = peel(&K::build(&g)).kappa;
-        let stale = K::stale_map(&g, &kappa);
-        let (g2, inserted) = rebuild_graph(&g, insert, remove);
-        let cached = crate::space::CachedSpace::build(&K::build(&g2));
-        let exact = peel(&cached).kappa;
-        let cold = crate::asynchronous::and(&cached, &cfg, &Order::Natural);
-        assert_eq!(cold.tau, exact);
-
-        let ins_ends: Vec<u32> = insert.iter().flat_map(|&(u, v)| [u, v]).collect();
-        let rm_ends: Vec<u32> = remove.iter().flat_map(|&(u, v)| [u, v]).collect();
-        let out = refresh_resume(&stale, &cached, &ins_ends, &rm_ends, inserted, &cfg);
-        let r = out.result;
-        assert!(r.converged);
-        assert_eq!(r.tau, exact, "{} warm refresh diverged", K::NAME);
-        // Sweep counts are order-sensitive (canonical clique ids shift
-        // them by ±1 on small graphs); recomputation count below is the
-        // robust cheapness metric.
-        assert!(
-            r.sweeps <= cold.sweeps,
-            "{}: warm took {} sweeps, cold {}",
-            K::NAME,
-            r.sweeps,
-            cold.sweeps
-        );
-        assert!(
-            r.total_processed() < cold.total_processed(),
-            "{}: warm recomputed {}, cold {}",
-            K::NAME,
-            r.total_processed(),
-            cold.total_processed()
-        );
-    }
-
-    #[test]
-    fn truss_warm_start_beats_cold_start_on_mixed_batch() {
-        let g = hdsd_datasets::thin_edges(&hdsd_datasets::holme_kim(500, 8, 0.6, 13), 0.7, 13);
-        let rm: Vec<(u32, u32)> = g.edges().iter().copied().step_by(97).take(4).collect();
-        assert_warm_beats_cold::<TrussKind>(g, &[(0, 250), (1, 251)], &rm);
-    }
-
-    #[test]
-    fn nucleus34_warm_start_beats_cold_start_on_mixed_batch() {
-        let g = hdsd_datasets::planted_partition(&[25, 25, 25, 25], 0.5, 0.04, 31);
-        let rm: Vec<(u32, u32)> = g.edges().iter().copied().step_by(113).take(3).collect();
-        assert_warm_beats_cold::<Nucleus34Kind>(g, &[(0, 26), (1, 27)], &rm);
-    }
-
-    #[test]
     fn empty_batches_are_noops() {
         let g = hdsd_datasets::erdos_renyi_gnm(30, 60, 1);
         let mut inc = IncrementalCore::new(g);
@@ -1032,18 +377,19 @@ mod tests {
     }
 
     #[test]
-    fn stale_maps_key_by_identity_across_rebuilds() {
-        let g = hdsd_datasets::holme_kim(60, 4, 0.5, 2);
-        let kappa = peel(&TrussSpace::on_the_fly(&g)).kappa;
-        let stale = TrussKind::stale_map(&g, &kappa);
-        // Rebuild with one extra edge: surviving edges find their old κ.
-        let (g2, inserted) = rebuild_graph(&g, &[(0, 59)], &[]);
-        assert_eq!(inserted, u32::from(!g.has_edge(0, 59)));
-        let space2 = TrussSpace::on_the_fly(&g2);
-        let tau = warm_tau_init(&stale, &space2, inserted);
-        let exact2 = peel(&space2).kappa;
-        for (i, (&t, &k)) in tau.iter().zip(&exact2).enumerate() {
-            assert!(t >= k, "warm τ[{i}] = {t} below κ = {k}");
-        }
+    fn parallel_config_reports_the_same_batch() {
+        let g = hdsd_datasets::holme_kim(200, 5, 0.6, 19);
+        let mut seq: Incremental<TrussKind> = Incremental::new(g.clone());
+        let mut par: Incremental<TrussKind> =
+            Incremental::with_config(g, LocalConfig::with_threads(2));
+        let rm: Vec<(u32, u32)> = seq.graph().edges().iter().copied().step_by(53).collect();
+        let ins = [(0, 150), (3, 120), (150, 120)];
+        let a = seq.update_edges(&ins, &rm);
+        let b = par.update_edges(&ins, &rm);
+        assert_eq!(seq.kappa(), par.kappa());
+        assert_eq!(a.new_to_old, b.new_to_old);
+        assert_eq!(a.old_kappa, b.old_kappa);
+        assert_eq!(a.batch_ends, b.batch_ends);
+        check_exact_kind(&par);
     }
 }

@@ -60,10 +60,7 @@ pub use api::{
     approx_core_numbers, approx_truss_numbers, core_numbers, densest_nucleus, maximum_core_of,
     maximum_truss_of, nucleus34_numbers, truss_numbers,
 };
-pub use asynchronous::{
-    and, and_resume, and_resume_awake, and_resume_awake_within, and_with_options,
-    and_without_notification, Order,
-};
+pub use asynchronous::{and, and_resume, and_with_options, and_without_notification, Order};
 pub use cancel::{CancelReason, CancelToken, Cancelled};
 pub use convergence::{
     ConvergenceResult, IterationEvent, LocalConfig, SweepMode, DEFAULT_CONTAINER_CACHE_BUDGET,
@@ -74,14 +71,11 @@ pub use export::{
     SNAPSHOT_MAGIC, SNAPSHOT_MIN_VERSION, SNAPSHOT_VERSION,
 };
 pub use hierarchy::{
-    assert_forest_eq, build_hierarchy, build_hierarchy_within, repair_hierarchy, Hierarchy,
-    HierarchyNode, RepairStats,
+    assert_forest_eq, build_hierarchy, build_hierarchy_within, repair_dirty_seed, repair_hierarchy,
+    Hierarchy, HierarchyNode, RepairStats,
 };
 pub use incremental::{
-    clique_key, rebuild_graph, refresh_resume, refresh_resume_of, refresh_resume_of_within,
-    stale_kappa_map, warm_tau_init, warm_tau_init_local, warm_tau_init_of, BatchOutcome, CliqueKey,
-    CoreKind, Incremental, IncrementalCore, KeyHasher, Nucleus34Kind, RefreshOutcome, SpaceKind,
-    StaleMap, TrussKind, WarmStart,
+    BatchOutcome, CoreKind, Incremental, IncrementalCore, Nucleus34Kind, SpaceKind, TrussKind,
 };
 pub use levels::{degree_levels, DegreeLevels};
 pub use peel::{

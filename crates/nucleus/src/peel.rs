@@ -250,11 +250,18 @@ impl PeelEngine {
     /// (which reuses this engine's scratch). The parallel path produces κ
     /// and `PeelStats` bit-identical to the sequential one; only the order
     /// convention differs (canonical `(κ, id)` vs bucket-queue history).
-    pub fn peel_with(&mut self, flat: &FlatContainers, cfg: ParallelConfig) -> PeelResult {
+    /// Both engines check `cancel` at chunk boundaries and trip as
+    /// `peel drain`.
+    pub fn peel_with(
+        &mut self,
+        flat: &FlatContainers,
+        cfg: ParallelConfig,
+        cancel: &CancelToken,
+    ) -> Result<PeelResult, PeelCancelled> {
         if cfg.threads > 1 {
-            peel_parallel_flat(flat, cfg)
+            peel_parallel_flat_within(flat, cfg, &DrainControl::default(), cancel)
         } else {
-            self.peel(flat)
+            self.peel_within(flat, cancel)
         }
     }
 

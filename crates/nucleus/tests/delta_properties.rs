@@ -2,15 +2,19 @@
 //! graphs with random mixed insert/remove batches, the delta-maintained
 //! structures must be **structurally identical** to from-scratch builds at
 //! every layer (CSR, triangle list, container caches), and the
-//! warm-started refresh must stay bit-identical to a cold peel for all
-//! three spaces. Case counts are proptest-driven, so the nightly
+//! spliced-then-re-peeled κ must stay bit-identical to a cold peel for
+//! all three spaces. Case counts are proptest-driven, so the nightly
 //! `slow-props` job's `PROPTEST_CASES` override deepens this suite too.
 
-use hdsd_graph::{apply_edge_batch, triangle_delta, CsrGraph, TriangleList, VertexId, NO_ID};
+use std::collections::HashSet;
+
+use hdsd_graph::{
+    apply_edge_batch, triangle_delta, CsrGraph, GraphBuilder, TriangleList, VertexId, NO_ID,
+};
 use hdsd_nucleus::{
-    core_space_delta, nucleus34_space_delta, peel, rebuild_graph, truss_space_delta, CachedSpace,
-    CliqueSpace, CoreKind, CoreSpace, Incremental, Nucleus34Kind, Nucleus34Space, SpaceKind,
-    TrussKind, TrussSpace,
+    core_space_delta, nucleus34_space_delta, peel, truss_space_delta, CachedSpace, CliqueSpace,
+    CoreKind, CoreSpace, Incremental, Nucleus34Kind, Nucleus34Space, SpaceKind, TrussKind,
+    TrussSpace,
 };
 
 use proptest::prelude::*;
@@ -47,6 +51,31 @@ fn random_batch(g: &CsrGraph, rng: &mut u64) -> (Batch, Batch) {
     }
     rm.push(((splitmix(rng) % (n + 8)) as u32, (splitmix(rng) % (n + 8)) as u32)); // likely absent
     (ins, rm)
+}
+
+/// The from-scratch reference for a batch: the surviving edges plus the
+/// inserts through `GraphBuilder` (vertex set grown to cover every insert),
+/// and the number of edges actually inserted.
+fn rebuild_from_scratch(
+    g: &CsrGraph,
+    ins: &[(VertexId, VertexId)],
+    rm: &[(VertexId, VertexId)],
+) -> (CsrGraph, u32) {
+    let drop: HashSet<(VertexId, VertexId)> =
+        rm.iter().map(|&(u, v)| (u.min(v), u.max(v))).collect();
+    let n = ins.iter().map(|&(u, v)| u.max(v) as usize + 1).fold(g.num_vertices(), usize::max);
+    let mut b = GraphBuilder::with_capacity(g.num_edges() + ins.len()).with_num_vertices(n);
+    let mut kept = 0usize;
+    for &(u, v) in g.edges().iter().filter(|e| !drop.contains(e)) {
+        b.add_edge(u, v);
+        kept += 1;
+    }
+    for &(u, v) in ins {
+        b.add_edge(u, v);
+    }
+    let rebuilt = b.build();
+    let inserted = (rebuilt.num_edges() - kept) as u32;
+    (rebuilt, inserted)
 }
 
 fn assert_same_graph(a: &CsrGraph, b: &CsrGraph, ctx: &str) {
@@ -109,7 +138,7 @@ proptest! {
 
         // Layer 1: the spliced CSR is bit-identical to a rebuild.
         let (g2, ed) = apply_edge_batch(&g, &ins, &rm);
-        let (g_ref, inserted_ref) = rebuild_graph(&g, &ins, &rm);
+        let (g_ref, inserted_ref) = rebuild_from_scratch(&g, &ins, &rm);
         assert_same_graph(&g2, &g_ref, &ctx);
         assert_eq!(ed.inserted(), inserted_ref, "{ctx}: inserted count");
         for (old, &new) in ed.old_to_new.iter().enumerate() {

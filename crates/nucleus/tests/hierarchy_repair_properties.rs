@@ -20,8 +20,8 @@
 
 use hdsd_graph::{CsrGraph, VertexId};
 use hdsd_nucleus::{
-    assert_forest_eq, build_hierarchy, CoreKind, Hierarchy, Incremental, Nucleus34Kind, SpaceKind,
-    TrussKind,
+    assert_forest_eq, build_hierarchy, repair_dirty_seed, BatchOutcome, CoreKind, Hierarchy,
+    Incremental, Nucleus34Kind, SpaceKind, TrussKind,
 };
 use proptest::prelude::*;
 use proptest::splitmix64 as splitmix;
@@ -59,6 +59,11 @@ fn random_batch(g: &CsrGraph, rng: &mut u64) -> (Batch, Batch) {
     (ins, rm)
 }
 
+/// The repair seed of the batch `out` that left `inc` in its current state.
+fn dirty_seed<K: SpaceKind>(inc: &Incremental<K>, out: &BatchOutcome) -> Vec<u32> {
+    repair_dirty_seed(inc.cached(), &out.new_to_old, &out.old_kappa, inc.kappa(), &out.batch_ends)
+}
+
 /// Drives one space kind through `rounds` chained batches, asserting after
 /// each that the repaired forest is canonical-form equal to a cold rebuild
 /// of the post-batch space. Returns aggregate preservation counters so
@@ -74,13 +79,13 @@ fn chained_repairs_equal_cold<K: SpaceKind>(
     let mut nodes_total = 0usize;
     for round in 0..rounds {
         let (ins, rm) = random_batch(inc.graph(), rng);
-        let out = inc.update_edges_outcome(&ins, &rm);
+        let out = inc.update_edges(&ins, &rm);
         let (repaired, stats) = forest.repair(
             inc.cached(),
             inc.kappa(),
             &out.new_to_old,
-            out.old_num_cliques,
-            &out.repair_dirty_seed(inc.kappa()),
+            out.old_kappa.len(),
+            &dirty_seed(&inc, &out),
         );
         let cold = build_hierarchy(inc.cached(), inc.kappa());
         // The property: repair ≡ cold rebuild, structurally. On failure,
@@ -157,13 +162,13 @@ fn small_batches_preserve_most_of_the_forest() {
     let g = hdsd_datasets::planted_partition(&[20, 20, 20, 20, 20], 0.5, 0.01, 77);
     let mut inc: Incremental<CoreKind> = Incremental::new(g);
     let forest = build_hierarchy(inc.cached(), inc.kappa());
-    let out = inc.update_edges_outcome(&[(0, 1)], &[]);
+    let out = inc.update_edges(&[(0, 1)], &[]);
     let (repaired, stats) = forest.repair(
         inc.cached(),
         inc.kappa(),
         &out.new_to_old,
-        out.old_num_cliques,
-        &out.repair_dirty_seed(inc.kappa()),
+        out.old_kappa.len(),
+        &dirty_seed(&inc, &out),
     );
     assert_forest_eq(&repaired, &build_hierarchy(inc.cached(), inc.kappa()));
     assert!(
@@ -190,13 +195,13 @@ fn deletion_heavy_batches_stay_equivalent() {
                 let edges = inc.graph().edges();
                 (0..12).map(|_| edges[(splitmix(&mut rng) % edges.len() as u64) as usize]).collect()
             };
-            let out = inc.update_edges_outcome(&[], &victims);
+            let out = inc.update_edges(&[], &victims);
             let (repaired, _) = forest.repair(
                 inc.cached(),
                 inc.kappa(),
                 &out.new_to_old,
-                out.old_num_cliques,
-                &out.repair_dirty_seed(inc.kappa()),
+                out.old_kappa.len(),
+                &dirty_seed(&inc, &out),
             );
             assert_forest_eq(&repaired, &build_hierarchy(inc.cached(), inc.kappa()));
             forest = repaired;
@@ -213,25 +218,49 @@ fn wipe_and_regrow_round_trips() {
     let mut inc: Incremental<CoreKind> = Incremental::new(g);
     let mut forest = build_hierarchy(inc.cached(), inc.kappa());
 
-    let out = inc.update_edges_outcome(&[], &all_edges);
+    let out = inc.update_edges(&[], &all_edges);
     let (repaired, _) = forest.repair(
         inc.cached(),
         inc.kappa(),
         &out.new_to_old,
-        out.old_num_cliques,
-        &out.repair_dirty_seed(inc.kappa()),
+        out.old_kappa.len(),
+        &dirty_seed(&inc, &out),
     );
     assert!(repaired.is_empty(), "wiped graph must repair to an empty forest");
     assert_forest_eq(&repaired, &build_hierarchy(inc.cached(), inc.kappa()));
     forest = repaired;
 
-    let out = inc.update_edges_outcome(&all_edges, &[]);
+    let out = inc.update_edges(&all_edges, &[]);
     let (regrown, _) = forest.repair(
         inc.cached(),
         inc.kappa(),
         &out.new_to_old,
-        out.old_num_cliques,
-        &out.repair_dirty_seed(inc.kappa()),
+        out.old_kappa.len(),
+        &dirty_seed(&inc, &out),
     );
     assert_forest_eq(&regrown, &build_hierarchy(inc.cached(), inc.kappa()));
+}
+
+/// A batch can create or destroy an s-clique without changing any κ: a
+/// bridge between two triangles merges their 2-cores into one nucleus,
+/// and removing it splits them again, while every core number stays 2.
+/// Only the batch-endpoint term of the dirty seed sees this change.
+#[test]
+fn kappa_preserving_bridge_batches_repair_exactly() {
+    let g = hdsd_graph::graph_from_edges([(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5)]);
+    let mut inc: Incremental<CoreKind> = Incremental::new(g);
+    let mut forest = build_hierarchy(inc.cached(), inc.kappa());
+    for (ins, rm) in [(vec![(0, 3)], vec![]), (vec![], vec![(0, 3)])] {
+        let out = inc.update_edges(&ins, &rm);
+        assert_eq!(out.old_kappa, inc.kappa(), "the bridge batch must leave every κ unchanged");
+        let seed = dirty_seed(&inc, &out);
+        let (repaired, _) =
+            forest.repair(inc.cached(), inc.kappa(), &out.new_to_old, out.old_kappa.len(), &seed);
+        assert_forest_eq(&repaired, &build_hierarchy(inc.cached(), inc.kappa()));
+        assert!(
+            repaired.canonical() != forest.canonical(),
+            "the bridge batch must reshape the forest"
+        );
+        forest = repaired;
+    }
 }

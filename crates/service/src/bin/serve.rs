@@ -13,7 +13,7 @@
 //!   --synthetic SPEC   Holme–Kim generator, e.g. 20000,8,0.5,7
 //!   --demo             tiny fixed graph (two K4s sharing an edge + tail)
 //!   --spaces LIST      resident decompositions    (default core,truss)
-//!   --threads N        refresh sweep threads      (default 1)
+//!   --threads N        update re-peel threads     (default 1)
 //!   --listen ADDR      serve TCP instead of stdin (e.g. 127.0.0.1:7171)
 //!   --readers N        request worker threads for --listen (default 4).
 //!                      Each worker owns an epoch reader; reads from any

@@ -13,9 +13,9 @@
 //!   index" idea);
 //! * **edge batches** splice the CSR, the shared triangle substrate and
 //!   every space snapshot ([`hdsd_graph::delta`],
-//!   [`hdsd_nucleus::delta`]), then refresh κ with the warm-started,
-//!   candidate-lifted resume ([`refresh_resume_of_within`]) — nothing is rebuilt
-//!   or re-enumerated globally;
+//!   [`hdsd_nucleus::delta`]), then re-peel κ in place on the spliced
+//!   snapshot's flat rows ([`PeelEngine::peel_with`]) — no clique
+//!   universe is rebuilt or re-enumerated;
 //! * **snapshots** serialize graph + κ + hierarchies for fast restart.
 //!
 //! ## Epoch immutability
@@ -36,12 +36,12 @@
 use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
-use hdsd_graph::{apply_edge_batch, triangle_delta, CsrGraph, TriangleList, VertexId, NO_ID};
+use hdsd_graph::{apply_edge_batch, triangle_delta, CsrGraph, TriangleList, VertexId};
 use hdsd_nucleus::hierarchy::NucleusDensity;
 use hdsd_nucleus::{
     build_hierarchy, build_hierarchy_within, core_space_delta, local_estimate_opts,
-    nucleus34_space_delta, peel, refresh_resume_of_within, truss_space_delta, CachedSpace,
-    CancelToken, Cancelled, CliqueSpace, CoreSpace, Hierarchy, LocalConfig, Nucleus34Space,
+    nucleus34_space_delta, peel, repair_dirty_seed, truss_space_delta, CachedSpace, CancelToken,
+    Cancelled, CliqueSpace, CoreSpace, Hierarchy, LocalConfig, Nucleus34Space, PeelEngine,
     QueryEstimate, QueryOptions, Snapshot, SpaceSnapshot, TrussSpace,
 };
 use hdsd_telemetry::{labeled, span, Registry};
@@ -112,7 +112,9 @@ pub struct EngineConfig {
     /// Decompositions to keep resident. The (3,4) space costs the most to
     /// build; enable it when the workload asks for it.
     pub spaces: Vec<SpaceSel>,
-    /// Sweep configuration for refreshes.
+    /// Update-time κ configuration: `parallel.threads > 1` re-peels
+    /// through the barrier-free parallel drain instead of the sequential
+    /// bucket queue (κ is bit-identical either way).
     pub local: LocalConfig,
 }
 
@@ -285,22 +287,16 @@ pub struct HierarchyRepairReport {
     pub full_rebuild: bool,
 }
 
-/// Telemetry of one space's warm refresh.
+/// Telemetry of one space's κ refresh.
 #[derive(Clone, Debug)]
 pub struct SpaceRefresh {
     /// Space name.
     pub space: &'static str,
-    /// Sweeps the resumed run needed (including certification).
-    pub sweeps: usize,
-    /// r-clique recomputations across the refresh.
+    /// r-cliques peeled by the refresh (the whole spliced space).
     pub processed: u64,
-    /// Cliques seeded awake (batch-perturbed).
-    pub awake: usize,
-    /// Surviving cliques lifted by the candidate traversal.
-    pub lifted: usize,
     /// Wall time of the space snapshot splice (container-cache patch).
     pub splice_us: u64,
-    /// Wall time of the warm κ refresh (candidate lift + resumed sweeps).
+    /// Wall time of the κ stage: the re-peel of the spliced snapshot.
     pub refresh_us: u64,
     /// Incremental hierarchy repair telemetry, when a forest was resident
     /// (`None` when the space had no hierarchy built yet — nothing to
@@ -844,12 +840,12 @@ impl Engine {
 
     /// Applies an edge batch by building the **next epoch off to the
     /// side**: the CSR, the triangle substrate, and every resident space
-    /// snapshot are spliced into fresh values, κ is refreshed via the
-    /// candidate-lifted warm start with stale values carried positionally
-    /// through the id remaps, and resident hierarchies are **repaired**
-    /// ([`Hierarchy::repair`]) instead of invalidated. The current view is
-    /// never touched — readers holding it keep answering bit-identically
-    /// — and on return `self.view` is the new epoch, ready to publish.
+    /// snapshot are spliced into fresh values, κ is re-peeled in place on
+    /// each spliced snapshot's flat rows, and resident hierarchies are
+    /// **repaired** ([`Hierarchy::repair`]) instead of invalidated. The
+    /// current view is never touched — readers holding it keep answering
+    /// bit-identically — and on return `self.view` is the new epoch, ready
+    /// to publish.
     ///
     /// This is a deliberately read-optimized trade: forest maintenance
     /// (including the cold build the repair degrades to when nothing is
@@ -857,8 +853,8 @@ impl Engine {
     /// forest) is paid here, at update time, keeping every subsequent
     /// region query rebuild-free. Update-heavy workloads that never touch
     /// `region`/`nuclei` simply never make a hierarchy resident and pay
-    /// none of it. Everything else scales with the perturbation; nothing
-    /// outside the forests is rebuilt globally.
+    /// none of it. The splices scale with the perturbation; the re-peel is
+    /// linear in the space.
     ///
     /// A region query racing the update may fill the *old* epoch's
     /// hierarchy `OnceLock` after this writer checked it; the new epoch
@@ -875,7 +871,7 @@ impl Engine {
     }
 
     /// [`Engine::update`] under a cancellation token, threaded into every
-    /// space's warm κ refresh (the dominant cost). Because the next epoch
+    /// space's κ re-peel (it trips as `peel drain`). Because the next epoch
     /// is built entirely off to the side, a mid-update trip is trivially
     /// sound: the partial next view is dropped, `self.view` still points
     /// at the old epoch, and readers never observe anything in between.
@@ -903,8 +899,6 @@ impl Engine {
             (new_graph, ed, td)
         };
         let graph_delta_us = start.elapsed().as_micros() as u64;
-        let ins_ends = ed.inserted_endpoints(&new_graph);
-        let rm_ends = ed.removed_endpoints(&old.graph);
 
         let mut reports = Vec::with_capacity(old.spaces.len());
         let mut new_spaces = Vec::with_capacity(old.spaces.len());
@@ -933,39 +927,26 @@ impl Engine {
             drop(splice_span);
             let splice_us = t_splice.elapsed().as_micros() as u64;
             let t_refresh = Instant::now();
-            let stale_of: Vec<Option<u32>> = sd
-                .new_to_old
-                .iter()
-                .map(|&o| if o == NO_ID { None } else { Some(st.kappa[o as usize]) })
-                .collect();
-            let out = {
+            let kappa = {
                 span!("update.refresh");
-                refresh_resume_of_within(
-                    &stale_of,
-                    &sd.cached,
-                    &ins_ends,
-                    &rm_ends,
-                    ed.inserted(),
-                    &self.local,
-                    cancel,
-                )?
+                PeelEngine::new()
+                    .peel_with(sd.cached.flat(), self.local.parallel, cancel)
+                    .map_err(|p| p.cancelled)?
+                    .kappa
             };
             let refresh_us = t_refresh.elapsed().as_micros() as u64;
-            let old_num_cliques = st.cached.num_cliques();
             // The next epoch inherits a repaired forest iff this epoch has
             // one resident at this instant (see the race note above).
             let mut next_hierarchy = None;
             let hierarchy_repair = st.hierarchy.get().map(|hi| {
                 let t_repair = Instant::now();
                 span!("update.repair");
-                let dirty = out.repair_dirty_seed(&stale_of);
-                let (forest, stats) = hi.forest.repair(
-                    &sd.cached,
-                    &out.result.tau,
-                    &sd.new_to_old,
-                    old_num_cliques,
-                    &dirty,
-                );
+                let mut batch_ends = ed.inserted_endpoints(&new_graph);
+                batch_ends.extend(ed.removed_endpoints(&old.graph));
+                let dirty =
+                    repair_dirty_seed(&sd.cached, &sd.new_to_old, &st.kappa, &kappa, &batch_ends);
+                let (forest, stats) =
+                    hi.forest.repair(&sd.cached, &kappa, &sd.new_to_old, st.kappa.len(), &dirty);
                 next_hierarchy =
                     Some(HierarchyIndex::from_forest(Arc::new(forest), sd.cached.num_cliques()));
                 let repair_us = t_repair.elapsed().as_micros() as u64;
@@ -980,17 +961,10 @@ impl Engine {
                     full_rebuild: stats.full_rebuild,
                 }
             });
-            // Flow the scheduler/refresh counters (previously dropped with
-            // the ConvergenceResult) into the registry, labeled by space.
+            let processed = kappa.len() as u64;
             let reg = Registry::global();
             let lbl = [("space", st.sel.name())];
-            reg.counter(&labeled("refresh_sweeps_total", &lbl)).add(out.result.sweeps as u64);
-            reg.counter(&labeled("refresh_processed_total", &lbl))
-                .add(out.result.total_processed());
-            reg.counter(&labeled("refresh_skipped_total", &lbl))
-                .add(out.result.scheduler.items_skipped);
-            reg.counter(&labeled("refresh_awake_total", &lbl)).add(out.awake as u64);
-            reg.counter(&labeled("refresh_lifted_total", &lbl)).add(out.lifted as u64);
+            reg.counter(&labeled("refresh_processed_total", &lbl)).add(processed);
             reg.histogram(&labeled("update_splice_micros", &lbl)).record(splice_us);
             reg.histogram(&labeled("update_refresh_micros", &lbl)).record(refresh_us);
             if let Some(hr) = &hierarchy_repair {
@@ -1004,10 +978,7 @@ impl Engine {
             }
             reports.push(SpaceRefresh {
                 space: st.sel.name(),
-                sweeps: out.result.sweeps,
-                processed: out.result.total_processed(),
-                awake: out.awake,
-                lifted: out.lifted,
+                processed,
                 splice_us,
                 refresh_us,
                 hierarchy_repair,
@@ -1019,7 +990,7 @@ impl Engine {
             new_spaces.push(SpaceView {
                 sel: st.sel,
                 cached: Arc::new(sd.cached),
-                kappa: Arc::new(out.result.tau),
+                kappa: Arc::new(kappa),
                 hierarchy,
                 build_us: st.build_us,
                 peel_us: st.peel_us,

@@ -9,9 +9,9 @@
 //! * point lookups are vector reads; budgeted estimates run the local
 //!   algorithm with a Theorem-1 `lower ≤ κ ≤ estimate` interval; region
 //!   queries materialize nuclei from the resident hierarchy;
-//! * edge batches refresh κ with the candidate-lifted warm start
-//!   ([`hdsd_nucleus::warm_tau_init_local`] + `and_resume_awake`) instead
-//!   of recomputing, exactly;
+//! * edge batches splice the graph and every resident space snapshot
+//!   ([`hdsd_nucleus::delta`]) instead of rebuilding them, then re-peel κ
+//!   on the spliced flat rows and repair resident hierarchies;
 //! * [`hdsd_nucleus::Snapshot`]s restart the engine without decomposing.
 //!
 //! Serving state is published in **epochs** ([`epoch`]): every update
@@ -29,7 +29,7 @@
 //! ([`recovery`]): update batches are appended to a checksummed
 //! write-ahead log ([`wal`]) *before* they are applied, checkpoints are
 //! atomic (temp file + rename, v4 trailer checksum), and startup recovery
-//! replays the WAL tail through the warm incremental-update path — a torn
+//! replays the WAL tail through the same splice + re-peel update path — a torn
 //! tail is detected and dropped, never partially applied.
 
 pub mod engine;

@@ -2,8 +2,8 @@
 //!
 //! One request per line in, one response per line out, over stdin/stdout
 //! or a TCP connection. Every response carries `"ok"` plus per-request
-//! telemetry (`micros`, and op-specific counters: sweeps for updates,
-//! explored cliques for estimates).
+//! telemetry (`micros`, and op-specific counters: cliques peeled for
+//! updates, explored cliques for estimates).
 //!
 //! ```text
 //! → {"op":"kappa","space":"core","id":4}
@@ -11,7 +11,7 @@
 //! → {"op":"estimate","space":"truss","vertices":[0,1],"iterations":3,"budget":4096}
 //! ← {"ok":true,"estimate":2,"lower":2,"interval":[2,2],...}
 //! → {"op":"update","insert":[[7,9]],"remove":[[0,3]]}
-//! ← {"ok":true,"inserted":1,"removed":1,"spaces":[{"space":"core","sweeps":3,...}],...}
+//! ← {"ok":true,"inserted":1,"removed":1,"spaces":[{"space":"core","processed":7,...}],...}
 //! ```
 //!
 //! Ops: `stats`, `kappa`, `estimate`, `nuclei`, `region`, `node`,
@@ -76,8 +76,8 @@
 //!
 //! Any read or update op may carry `"deadline_ms": N`. The deadline is
 //! carried as a [`CancelToken`] into the nucleus kernels and checked at
-//! chunk boundaries (peel drain, And frontier sweeps, hierarchy
-//! union-find batches), so work aborts *mid-computation* with bounded
+//! chunk boundaries (peel drain, hierarchy s-clique scan and union-find
+//! batches), so work aborts *mid-computation* with bounded
 //! overshoot and answers `deadline exceeded (<stage>)`, naming the stage
 //! that stopped. Estimates degrade gracefully instead (exploration stops,
 //! `"truncated":true`). The TCP front-end threads each connection's
@@ -846,10 +846,7 @@ impl Server {
                     .map(|s| {
                         let mut fields = vec![
                             ("space".to_string(), s.space.into()),
-                            ("sweeps".to_string(), s.sweeps.into()),
                             ("processed".to_string(), s.processed.into()),
-                            ("awake".to_string(), s.awake.into()),
-                            ("lifted".to_string(), s.lifted.into()),
                             ("splice_micros".to_string(), s.splice_us.into()),
                             ("refresh_micros".to_string(), s.refresh_us.into()),
                         ];

@@ -23,11 +23,10 @@
 //!    leaves the new snapshot + a stale WAL whose replay is idempotent
 //!    (see the [`crate::wal`] module docs) — both recover exactly.
 //!
-//! Recovery ([`Durability::open`]) is the warm path the paper's locality
-//! argument makes cheap: load the snapshot (adopting κ and hierarchies —
-//! no re-peel), then replay the WAL tail through `Engine::update`'s
-//! incremental refresh. Nothing is re-decomposed unless there is no
-//! checkpoint at all.
+//! Recovery ([`Durability::open`]) is the warm path: load the snapshot
+//! (adopting κ and hierarchies — no cold peel), then replay the WAL tail
+//! through `Engine::update`'s splice + re-peel. No clique space is
+//! re-enumerated from scratch unless there is no checkpoint at all.
 
 use std::fs::{self, File};
 use std::io::{self, BufReader, BufWriter, Write};
@@ -213,8 +212,8 @@ impl Durability {
             let contents = read_wal(&wal_path)
                 .map_err(|e| format!("recovery: WAL {}: {e}", wal_path.display()))?;
             report.torn_bytes = contents.torn_bytes;
-            // The warm replay path: each record runs the same incremental
-            // refresh a live request would — no re-decomposition. Records
+            // The warm replay path: each record runs the same splice +
+            // re-peel a live request would. Records
             // the engine already absorbed (checkpoint renamed, rotation
             // lost) re-apply as no-ops.
             for rec in &contents.records {

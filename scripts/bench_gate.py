@@ -2,13 +2,15 @@
 """CI perf-regression gate over the --quick bench JSON artifacts.
 
 Compares the deterministic *counter* metrics of a fresh quick bench run
-(recomputation ratios, warm-vs-cold processed counts) against a committed
+(recomputation ratios, hierarchy preservation) against a committed
 baseline with a relative tolerance, and fails the job on regression.
-Wall-clock fields are deliberately ignored — CI runners are too noisy —
-with one exception: the peel kind gates the flat-vs-walk speedup ratio
-(same-process relative time, invoked with a wider tolerance that then
-applies to all of that kind's metrics). Correctness flags (kappa_exact,
-converged, kappa_identical, counters_match) are hard failures.
+Absolute wall-clock fields are deliberately ignored — CI runners are too
+noisy — but same-run relative times are gated: the peel kind's
+flat-vs-walk speedup (invoked with a wider tolerance that then applies to
+all of that kind's metrics) and the service kind's κ stage against a cold
+peel of the same space (a hard requirement computed from the fresh run).
+Correctness flags (kappa_exact, converged, kappa_identical,
+counters_match) are hard failures.
 
 Usage:
   bench_gate.py compare --kind frontier \
@@ -24,6 +26,7 @@ Exit status: 0 = no regression, 1 = regression (or invalid input).
 
 import argparse
 import json
+import statistics
 import sys
 from collections import defaultdict
 
@@ -42,23 +45,48 @@ def extract_frontier(doc):
     return metrics, hard_failures
 
 
+# The update's kappa stage (the re-peel of the spliced snapshot) may take
+# at most this multiple of a cold peel of the same space.
+REFRESH_VS_PEEL_BOUND = 1.1
+
+
 def extract_service(doc):
-    """Higher-is-better counters of the serving bench: per-space mean
-    cold/warm recomputation ratio across the update batches, plus the
-    hierarchy repair's mean preserved-node fraction (how much of the
-    forest each repair grafted back instead of rebuilding)."""
+    """Requirements and counters of the serving bench.
+
+    Hard requirement, computed from the fresh run alone: per space, the
+    median over the update batches of the kappa stage's wall time
+    (refresh_us) divided by a cold peel of the same post-batch space
+    measured in the same run (cold_peel_us) must stay within
+    REFRESH_VS_PEEL_BOUND — the same shape as the peel kind's drain floor,
+    including its capped "requirement met" metric. The median keeps one
+    descheduled batch from failing the gate.
+
+    Higher-is-better counter: the hierarchy repair's mean preserved-node
+    fraction (how much of the forest each repair grafted back instead of
+    rebuilding)."""
+    hard_failures = []
     ratios = defaultdict(list)
     for row in doc.get("refreshes", []):
-        ratios[row["space"]].append(float(row["processed_ratio"]))
+        ratios[row["space"]].append(float(row["refresh_us"]) / max(float(row["cold_peel_us"]), 1.0))
+    if not ratios:
+        hard_failures.append("service: no refresh rows to gate the kappa stage on")
     metrics = {}
     for space, values in sorted(ratios.items()):
-        metrics[f"refresh_processed_ratio[{space}]"] = sum(values) / len(values)
+        ratio = statistics.median(values)
+        if ratio > REFRESH_VS_PEEL_BOUND:
+            hard_failures.append(
+                f"service {space}: kappa stage at {ratio:.2f}x a cold peel of the same space "
+                f"exceeds the {REFRESH_VS_PEEL_BOUND}x bound"
+            )
+        metrics[f"refresh_vs_peel_requirement_met[{space}]"] = min(
+            REFRESH_VS_PEEL_BOUND / max(ratio, 1e-9), 1.0
+        )
     preserved = defaultdict(list)
     for row in doc.get("hierarchy", []):
         preserved[row["space"]].append(float(row["preserved_fraction"]))
     for space, values in sorted(preserved.items()):
         metrics[f"hierarchy_preserved_fraction[{space}]"] = sum(values) / len(values)
-    return metrics, []
+    return metrics, hard_failures
 
 
 def extract_peel(doc):
@@ -225,9 +253,10 @@ def selftest():
     }
     service = {
         "refreshes": [
-            {"space": "truss", "processed_ratio": 1.8},
-            {"space": "truss", "processed_ratio": 2.2},
-            {"space": "nucleus34", "processed_ratio": 2.0},
+            {"space": "truss", "refresh_us": 1500, "cold_peel_us": 1600.0},
+            {"space": "truss", "refresh_us": 1700, "cold_peel_us": 1600.0},
+            {"space": "truss", "refresh_us": 5000, "cold_peel_us": 1600.0},  # descheduled once
+            {"space": "nucleus34", "refresh_us": 150, "cold_peel_us": 160.0},
         ],
         "hierarchy": [
             {"space": "truss", "preserved_fraction": 0.95},
@@ -288,8 +317,10 @@ def selftest():
 
     slow_service = json.loads(json.dumps(service))
     for row in slow_service["refreshes"]:
-        row["processed_ratio"] = 1.0
-    checks.append(("regressed service fails", compare("service", service, slow_service, 0.1) != []))
+        row["refresh_us"] = 9 * row["cold_peel_us"]
+    checks.append(
+        ("kappa stage over the cold-peel bound fails", compare("service", service, slow_service, 0.1) != [])
+    )
 
     unpreserving = json.loads(json.dumps(service))
     for row in unpreserving["hierarchy"]:

@@ -122,9 +122,8 @@ proptest! {
         g in arb_graph(),
         bumps in proptest::collection::vec(0u32..6, 20),
     ) {
-        // The warm-start property behind incremental maintenance: And
-        // started from any pointwise upper bound τ_init ≥ κ converges to
-        // exactly κ.
+        // And started from any pointwise upper bound τ_init ≥ κ
+        // converges to exactly κ.
         use hdsd::nucleus::and_resume;
         let sp = CoreSpace::new(&g);
         let exact = peel(&sp).kappa;
