@@ -29,7 +29,6 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use hdsd_nucleus::LocalConfig;
 use hdsd_service::engine::EngineView;
 use hdsd_service::{Engine, EngineConfig, EpochCell, SpaceSel};
 use proptest::splitmix64 as splitmix;
@@ -182,10 +181,7 @@ fn main() {
     let required_scaling = 4.0_f64.min(0.6 * cores as f64);
     eprintln!("cores: {cores}; required max-thread scaling: {required_scaling:.2}x");
 
-    let cfg = EngineConfig {
-        spaces: vec![SpaceSel::Core, SpaceSel::Truss],
-        local: LocalConfig::sequential(),
-    };
+    let cfg = EngineConfig { spaces: vec![SpaceSel::Core, SpaceSel::Truss] };
     let mut engine = Engine::new(g.clone(), &cfg);
     let cell = Arc::new(EpochCell::new(engine.view()));
 

@@ -1,23 +1,18 @@
-//! Exact-path peeling benchmark: the flat engine vs the container walk
-//! vs the barrier-free parallel drain.
+//! Exact-path peeling benchmark: the flat engine vs the container walk.
 //!
 //! For each space (core, truss, (3,4) nucleus) on the 20k-vertex serving
 //! graph, measures the sequential exact peel through both engines —
 //! [`peel_walk`] over the space's container callbacks vs [`peel_flat`]
 //! over a prebuilt [`FlatContainers`] cache (the serving scenario: the
 //! engine-resident `CachedSpace` always has the rows materialized) — plus
-//! the reusable [`PeelEngine`] form and the barrier-free parallel drain
-//! ([`peel_parallel_flat`], workers claiming bucket chunks from a shared
-//! cursor with no per-level barrier). The cache build cost is reported
+//! the reusable [`PeelEngine`] form. The cache build cost is reported
 //! separately so the cold path (build + flat) is reconstructable from
 //! the artifact.
 //!
 //! Every run asserts bit-identical results (κ, order, counters) between
-//! the sequential engines, and that the parallel drain reproduces κ and
-//! the closed-form work counters exactly. The JSON records the counters
-//! the CI gate pins plus the drain telemetry (chunks claimed, steals,
-//! stale retries, epilogue items) and the parallel speedup the gate
-//! floors (`scripts/bench_gate.py --kind peel`).
+//! the engines. The JSON records the counters the CI gate pins and the
+//! flat-vs-walk speedup it floors (`scripts/bench_gate.py --kind peel`),
+//! with the core count and git revision of the run.
 //!
 //! Run with `cargo bench -p hdsd-bench --bench peel` (append `-- --quick`
 //! for the smoke-test size; quick mode writes to `target/`).
@@ -26,10 +21,9 @@ use std::fmt::Write as _;
 use std::time::Instant;
 
 use hdsd_nucleus::{
-    peel_flat, peel_parallel_flat, peel_walk, CliqueSpace, CoreSpace, DrainStats, FlatContainers,
-    Nucleus34Space, PeelEngine, PeelResult, TrussSpace,
+    peel_flat, peel_walk, CliqueSpace, CoreSpace, FlatContainers, Nucleus34Space, PeelEngine,
+    PeelResult, TrussSpace,
 };
-use hdsd_parallel::ParallelConfig;
 
 struct SpaceRecord {
     space: &'static str,
@@ -39,8 +33,6 @@ struct SpaceRecord {
     walk_ms: f64,
     flat_ms: f64,
     flat_engine_ms: f64,
-    par_flat_ms: f64,
-    drain: DrainStats,
     containers_scanned: u64,
     dead_containers: u64,
     bucket_moves: u64,
@@ -61,12 +53,7 @@ fn time_best<R>(reps: usize, mut f: impl FnMut() -> R) -> (f64, R) {
     (best, out.unwrap())
 }
 
-fn bench_space<S: CliqueSpace>(
-    name: &'static str,
-    space: &S,
-    reps: usize,
-    threads: usize,
-) -> SpaceRecord {
+fn bench_space<S: CliqueSpace>(name: &'static str, space: &S, reps: usize) -> SpaceRecord {
     let (cache_build_ms, flat) = time_best(reps, || FlatContainers::build(space));
 
     let (walk_ms, walk) = time_best(reps, || peel_walk(space));
@@ -75,22 +62,13 @@ fn bench_space<S: CliqueSpace>(
     engine.peel(&flat); // warm the scratch before timing the reusable form
     let (flat_engine_ms, engine_r) = time_best(reps, || engine.peel(&flat));
 
-    let cfg = ParallelConfig::with_threads(threads);
-    // Warm the canonical container keys (lazily built, shared across runs)
-    // so the drain timing measures the drain, not the one-time key setup.
-    flat.container_keys();
-    let (par_flat_ms, par_flat) = time_best(reps, || peel_parallel_flat(&flat, cfg));
-
     let same = |r: &PeelResult| {
         r.kappa == walk.kappa && r.order == walk.order && r.max_kappa == walk.max_kappa
     };
-    // The parallel drain emits the canonical (κ, id) order rather than the
-    // historical bucket-queue order, so only κ/counters are compared there.
-    let kappa_identical = same(&flat_r) && same(&engine_r) && par_flat.kappa == walk.kappa;
-    let counters_match =
-        flat_r.stats == walk.stats && engine_r.stats == walk.stats && par_flat.stats == walk.stats;
+    let kappa_identical = same(&flat_r) && same(&engine_r);
+    let counters_match = flat_r.stats == walk.stats && engine_r.stats == walk.stats;
     assert!(kappa_identical, "{name}: engines disagree on the exact decomposition");
-    assert!(counters_match, "{name}: flat/walk/parallel work counters diverged");
+    assert!(counters_match, "{name}: flat/walk work counters diverged");
 
     SpaceRecord {
         space: name,
@@ -100,8 +78,6 @@ fn bench_space<S: CliqueSpace>(
         walk_ms,
         flat_ms,
         flat_engine_ms,
-        par_flat_ms,
-        drain: par_flat.drain.unwrap_or_default(),
         containers_scanned: walk.stats.containers_scanned,
         dead_containers: walk.stats.dead_containers,
         bucket_moves: walk.stats.bucket_moves,
@@ -117,42 +93,34 @@ fn main() {
     let (n, m_attach, closure) = if quick { (2_000u32, 6u32, 0.8) } else { (20_000, 8, 0.8) };
     let reps = if quick { 3 } else { 5 };
     let cores = std::thread::available_parallelism().map(|c| c.get()).unwrap_or(1);
-    let threads = hdsd_parallel::default_threads().min(8);
+    let git_rev = git_revision();
     let g = hdsd_datasets::holme_kim(n, m_attach, closure, 7);
     eprintln!(
-        "peel bench graph: {} vertices, {} edges, {} threads ({} cores) for the parallel drain",
+        "peel bench graph: {} vertices, {} edges ({} cores, revision {git_rev})",
         g.num_vertices(),
         g.num_edges(),
-        threads,
         cores
     );
 
     let records = vec![
-        bench_space("core", &CoreSpace::new(&g), reps, threads),
-        bench_space("truss", &TrussSpace::precomputed(&g), reps, threads),
-        bench_space("nucleus34", &Nucleus34Space::precomputed(&g), reps, threads),
+        bench_space("core", &CoreSpace::new(&g), reps),
+        bench_space("truss", &TrussSpace::precomputed(&g), reps),
+        bench_space("nucleus34", &Nucleus34Space::precomputed(&g), reps),
     ];
 
     for r in &records {
         eprintln!(
             "peel {}: walk {:.2} ms vs flat {:.2} ms ({:.2}x; engine {:.2} ms, cache build \
-             {:.2} ms) | parallel drain {:.2} ms ({:.2}x vs flat) | {} containers, {} dead, \
-             {} bucket moves | drain: {} chunks, {} steals, {} stale retries, {} epilogue",
+             {:.2} ms) | {} containers, {} dead, {} bucket moves",
             r.space,
             r.walk_ms,
             r.flat_ms,
             r.walk_ms / r.flat_ms.max(1e-9),
             r.flat_engine_ms,
             r.cache_build_ms,
-            r.par_flat_ms,
-            r.flat_ms / r.par_flat_ms.max(1e-9),
             r.containers_scanned,
             r.dead_containers,
             r.bucket_moves,
-            r.drain.chunks_claimed,
-            r.drain.steals,
-            r.drain.stale_retries,
-            r.drain.epilogue_items,
         );
     }
 
@@ -165,8 +133,8 @@ fn main() {
         g.num_vertices(),
         g.num_edges()
     );
-    let _ = writeln!(out, "  \"threads\": {threads},");
     let _ = writeln!(out, "  \"cores\": {cores},");
+    let _ = writeln!(out, "  \"git_rev\": \"{git_rev}\",");
     out.push_str("  \"spaces\": [\n");
     for (i, r) in records.iter().enumerate() {
         let _ = writeln!(
@@ -174,9 +142,6 @@ fn main() {
             "    {{\"space\": \"{}\", \"cliques\": {}, \"max_kappa\": {}, \
              \"cache_build_ms\": {:.3}, \"walk_ms\": {:.3}, \"flat_ms\": {:.3}, \
              \"flat_engine_ms\": {:.3}, \"speedup_flat_vs_walk\": {:.3}, \
-             \"par_flat_ms\": {:.3}, \"speedup_par_vs_flat\": {:.3}, \
-             \"drain_chunks_claimed\": {}, \"drain_steals\": {}, \
-             \"drain_stale_retries\": {}, \"drain_epilogue_items\": {}, \
              \"containers_scanned\": {}, \"dead_containers\": {}, \"bucket_moves\": {}, \
              \"kappa_identical\": {}, \"counters_match\": {}}}{}",
             r.space,
@@ -187,12 +152,6 @@ fn main() {
             r.flat_ms,
             r.flat_engine_ms,
             r.walk_ms / r.flat_ms.max(1e-9),
-            r.par_flat_ms,
-            r.flat_ms / r.par_flat_ms.max(1e-9),
-            r.drain.chunks_claimed,
-            r.drain.steals,
-            r.drain.stale_retries,
-            r.drain.epilogue_items,
             r.containers_scanned,
             r.dead_containers,
             r.bucket_moves,
@@ -212,4 +171,18 @@ fn main() {
     };
     std::fs::write(path, &out).expect("write peel bench JSON");
     eprintln!("wrote {path}");
+}
+
+/// `git describe --always --dirty` of the checkout the bench runs in, so
+/// the artifact names the code it measured ("unknown" outside a git tree).
+fn git_revision() -> String {
+    std::process::Command::new("git")
+        .args(["describe", "--always", "--dirty"])
+        .current_dir(env!("CARGO_MANIFEST_DIR"))
+        .output()
+        .ok()
+        .filter(|o| o.status.success())
+        .and_then(|o| String::from_utf8(o.stdout).ok())
+        .map(|s| s.trim().to_string())
+        .unwrap_or_else(|| "unknown".to_string())
 }

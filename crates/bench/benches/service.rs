@@ -22,8 +22,7 @@ use std::fmt::Write as _;
 use std::time::Instant;
 
 use hdsd_nucleus::{
-    build_hierarchy, peel, CachedSpace, CoreSpace, LocalConfig, Nucleus34Space, QueryOptions,
-    TrussSpace,
+    build_hierarchy, peel, CachedSpace, CoreSpace, Nucleus34Space, QueryOptions, TrussSpace,
 };
 use hdsd_service::{Engine, EngineConfig, SpaceSel};
 
@@ -64,7 +63,7 @@ fn main() {
     eprintln!("service bench graph: {} vertices, {} edges", g.num_vertices(), g.num_edges());
 
     let spaces = vec![SpaceSel::Core, SpaceSel::Truss, SpaceSel::Nucleus34];
-    let cfg = EngineConfig { spaces: spaces.clone(), local: LocalConfig::sequential() };
+    let cfg = EngineConfig { spaces: spaces.clone() };
     let t_build = Instant::now();
     let mut engine = Engine::new(g.clone(), &cfg);
     let build_ms = t_build.elapsed().as_secs_f64() * 1e3;

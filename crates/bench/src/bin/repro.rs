@@ -7,7 +7,7 @@
 //!   t3       Table 3   dataset statistics
 //!   f1a      Fig. 1a   k-truss convergence rate (Kendall-τ per iteration)
 //!   f6       Fig. 6    same for k-core and the (3,4) nucleus
-//!   f1b      Fig. 1b   thread-scalability vs partially-parallel peeling
+//!   f1b      Fig. 1b   thread-scalability vs sequential peeling (Peeling-1t)
 //!   toys     Figs. 2–4 worked toy examples, step by step
 //!   f5       Fig. 5    τ trajectories / plateaus on facebook
 //!   t4       Table 4   k-core:   iterations + runtimes vs peeling
@@ -129,7 +129,7 @@ experiments:
   t3      Table 3   dataset statistics (|V| |E| |tri| |K4|)
   f1a     Fig. 1a   k-truss convergence rate (Kendall-tau per iteration)
   f6      Fig. 6    convergence rate for k-core and (3,4)
-  f1b     Fig. 1b   thread scalability vs partially-parallel peeling
+  f1b     Fig. 1b   thread scalability vs sequential peeling (Peeling-1t)
   toys    Figs 2-4  worked toy examples
   f5      Fig. 5    tau trajectories / plateaus on facebook
   t4      Table 4   k-core iterations + runtimes

@@ -1,7 +1,6 @@
 //! One module per paper artifact (table/figure). Every module exposes a
 //! `run(&Env)` that prints the regenerated rows/series; `repro` dispatches
-//! to them by experiment id, and EXPERIMENTS.md records their output
-//! alongside the paper's numbers.
+//! to them by experiment id.
 
 pub mod f1a;
 pub mod f1b;

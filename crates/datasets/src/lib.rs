@@ -17,8 +17,8 @@
 //!   to a deterministic stand-in at laptop scale, with a `--scale` factor
 //!   for growing toward paper scale on bigger hardware.
 //!
-//! All generators are deterministic given a seed, so every experiment in
-//! EXPERIMENTS.md is reproducible bit-for-bit.
+//! All generators are deterministic given a seed, so every experiment the
+//! `repro` binary regenerates is reproducible bit-for-bit.
 
 pub mod generators;
 pub mod registry;

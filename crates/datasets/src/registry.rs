@@ -62,7 +62,7 @@ pub const CONVERGENCE_SET: [Dataset; 5] =
 pub const SCALABILITY_SET: [Dataset; 6] =
     [Dataset::Ask, Dataset::Slj, Dataset::Hg, Dataset::Ork, Dataset::Slj, Dataset::Wiki];
 
-/// Paper-reported statistics (for EXPERIMENTS.md side-by-side reporting).
+/// Paper-reported statistics (printed beside the stand-ins by `repro t3`).
 #[derive(Clone, Copy, Debug)]
 pub struct DatasetStats {
     /// Vertices in the original graph.

@@ -264,11 +264,11 @@ impl DrainFrontier {
     }
 }
 
-/// Single-threaded counterpart of [`EpochFrontier`]: the same dedup-on-
-/// insert epoch protocol, but with a plain bool membership array and a
-/// plain `Vec` accumulator. Wake pushes are the hottest frontier operation
-/// (one per container member per update), so the sequential driver must
-/// not pay test-and-set atomics for them.
+/// Single-threaded frontier: a dedup-on-insert epoch protocol with a
+/// plain bool membership array and a plain `Vec` accumulator (the
+/// parallel driver uses [`DrainFrontier`]). Wake pushes are the hottest
+/// frontier operation (one per container member per update), so the
+/// sequential driver must not pay test-and-set atomics for them.
 struct SeqFrontier {
     queued: Vec<bool>,
     next: Vec<u32>,

@@ -19,8 +19,6 @@ use std::marker::PhantomData;
 
 use hdsd_graph::{CsrDelta, CsrGraph, TriangleList, VertexId};
 
-use crate::cancel::CancelToken;
-use crate::convergence::LocalConfig;
 use crate::delta::SpaceDelta;
 use crate::peel::PeelEngine;
 use crate::space::{CachedSpace, CliqueSpace, CoreSpace, Nucleus34Space, TrussSpace};
@@ -162,7 +160,6 @@ pub struct Incremental<K: SpaceKind> {
     substrate: K::Substrate,
     cached: CachedSpace,
     kappa: Vec<u32>,
-    cfg: LocalConfig,
     _kind: PhantomData<K>,
 }
 
@@ -172,17 +169,10 @@ pub type IncrementalCore = Incremental<CoreKind>;
 impl<K: SpaceKind> Incremental<K> {
     /// Builds the initial decomposition (a full peel).
     pub fn new(graph: CsrGraph) -> Self {
-        Self::with_config(graph, LocalConfig::sequential())
-    }
-
-    /// Builds the initial decomposition; `cfg.parallel` picks the peel
-    /// engine for this and every later batch (the barrier-free drain when
-    /// it asks for threads — κ is bit-identical either way).
-    pub fn with_config(graph: CsrGraph, cfg: LocalConfig) -> Self {
         let substrate = K::init_substrate(&graph);
         let cached = K::build_cached(&graph, &substrate);
-        let kappa = peel_kappa(&cached, &cfg);
-        Incremental { graph, substrate, cached, kappa, cfg, _kind: PhantomData }
+        let kappa = peel_kappa(&cached);
+        Incremental { graph, substrate, cached, kappa, _kind: PhantomData }
     }
 
     /// Current graph.
@@ -223,7 +213,7 @@ impl<K: SpaceKind> Incremental<K> {
     ) -> BatchOutcome {
         let (new_graph, ed) = hdsd_graph::apply_edge_batch(&self.graph, insert, remove);
         let sd = K::apply_delta(&mut self.substrate, &self.cached, &self.graph, &new_graph, &ed);
-        let kappa = peel_kappa(&sd.cached, &self.cfg);
+        let kappa = peel_kappa(&sd.cached);
         let mut batch_ends = ed.inserted_endpoints(&new_graph);
         batch_ends.extend(ed.removed_endpoints(&self.graph));
         self.graph = new_graph;
@@ -236,13 +226,9 @@ impl<K: SpaceKind> Incremental<K> {
     }
 }
 
-/// Exact κ of a snapshot, peeled in place on its flat rows by the engine
-/// `cfg.parallel` selects.
-fn peel_kappa(cached: &CachedSpace, cfg: &LocalConfig) -> Vec<u32> {
-    PeelEngine::new()
-        .peel_with(cached.flat(), cfg.parallel, &CancelToken::none())
-        .expect("an unarmed token never cancels")
-        .kappa
+/// Exact κ of a snapshot, peeled in place on its flat rows.
+fn peel_kappa(cached: &CachedSpace) -> Vec<u32> {
+    PeelEngine::new().peel(cached.flat()).kappa
 }
 
 /// What one [`Incremental::update_edges`] batch did — the inputs of
@@ -374,22 +360,5 @@ mod tests {
         inc.insert_edges(&[]);
         inc.remove_edges(&[]);
         assert_eq!(inc.core_numbers(), before.as_slice());
-    }
-
-    #[test]
-    fn parallel_config_reports_the_same_batch() {
-        let g = hdsd_datasets::holme_kim(200, 5, 0.6, 19);
-        let mut seq: Incremental<TrussKind> = Incremental::new(g.clone());
-        let mut par: Incremental<TrussKind> =
-            Incremental::with_config(g, LocalConfig::with_threads(2));
-        let rm: Vec<(u32, u32)> = seq.graph().edges().iter().copied().step_by(53).collect();
-        let ins = [(0, 150), (3, 120), (150, 120)];
-        let a = seq.update_edges(&ins, &rm);
-        let b = par.update_edges(&ins, &rm);
-        assert_eq!(seq.kappa(), par.kappa());
-        assert_eq!(a.new_to_old, b.new_to_old);
-        assert_eq!(a.old_kappa, b.old_kappa);
-        assert_eq!(a.batch_ends, b.batch_ends);
-        check_exact_kind(&par);
     }
 }

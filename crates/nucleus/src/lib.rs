@@ -79,9 +79,7 @@ pub use incremental::{
 };
 pub use levels::{degree_levels, DegreeLevels};
 pub use peel::{
-    peel, peel_flat, peel_parallel, peel_parallel_flat, peel_parallel_flat_with,
-    peel_parallel_flat_within, peel_parallel_with, peel_walk, peel_within, DrainStats,
-    PeelCancelled, PeelEngine, PeelResult, PeelStats, PEEL_CANCEL_CHUNK,
+    peel, peel_flat, peel_walk, PeelCancelled, PeelEngine, PeelResult, PeelStats, PEEL_CANCEL_CHUNK,
 };
 pub use query::{
     estimate_core_numbers, estimate_truss_numbers, local_estimate, local_estimate_opts,

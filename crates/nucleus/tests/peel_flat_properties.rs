@@ -3,14 +3,13 @@
 //! dispatching [`peel`]) must be **bit-identical** to the container-walk
 //! baseline [`peel_walk`] — κ, processing order, max κ, and the
 //! deterministic work counters — across every clique space, including the
-//! dynamic-width generic space. The parallel engines must reproduce the
-//! same κ. Runs under the nightly slow-props budget (`PROPTEST_CASES`).
+//! dynamic-width generic space. Runs under the nightly slow-props budget
+//! (`PROPTEST_CASES`).
 
 use hdsd_nucleus::{
-    peel, peel_flat, peel_parallel_flat, peel_walk, CliqueSpace, CoreSpace, FlatContainers,
-    GenericSpace, Nucleus34Space, PeelEngine, TrussSpace,
+    peel, peel_flat, peel_walk, CliqueSpace, CoreSpace, FlatContainers, GenericSpace,
+    Nucleus34Space, PeelEngine, TrussSpace,
 };
-use hdsd_parallel::ParallelConfig;
 use proptest::prelude::*;
 
 fn arb_holme_kim() -> impl Strategy<Value = hdsd_graph::CsrGraph> {
@@ -41,13 +40,6 @@ fn check_space<S: CliqueSpace>(space: &S, engine: &mut PeelEngine) {
     let ks: Vec<u32> = walk.order.iter().map(|&i| walk.kappa[i as usize]).collect();
     assert!(ks.windows(2).all(|w| w[0] <= w[1]), "{}: order not κ-sorted", space.name());
     assert_eq!(walk.max_kappa, walk.kappa.iter().copied().max().unwrap_or(0));
-
-    // The barrier-free parallel drain reproduces κ and the closed-form
-    // work counters bit-for-bit.
-    let cfg = ParallelConfig::with_threads(3).chunk(4);
-    let par = peel_parallel_flat(&flat, cfg);
-    assert_eq!(par.kappa, walk.kappa, "{}", space.name());
-    assert_eq!(par.stats, walk.stats, "{}: parallel counters diverged", space.name());
 }
 
 proptest! {
@@ -64,7 +56,7 @@ proptest! {
         check_space(&GenericSpace::new(&g, 1, 3), &mut engine);
         // ...and at group = binom(4,2) − 1 = 5, which exceeds every
         // monomorphized arity and exercises the width-at-runtime fallback
-        // (run::<0> / par_flat::<0>).
+        // (run::<0>).
         check_space(&GenericSpace::new(&g, 2, 4), &mut engine);
     }
 

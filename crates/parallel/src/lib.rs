@@ -15,10 +15,8 @@
 pub mod scheduling;
 
 pub use scheduling::{
-    parallel_for_chunks, parallel_for_chunks_collect, parallel_for_chunks_with, ChunkCursor,
-    ConcurrentWorklist, DrainControl, DrainEvent, DrainHooks, DrainQueue, FrontierQueue, MpmcRing,
-    PhaseGate, Policy, QuiescenceCounter, ScheduleJitter, SchedulerStats, WorkerControl,
-    WorkerJitter,
+    parallel_for_chunks, parallel_for_chunks_with, ConcurrentWorklist, MpmcRing, Policy,
+    QuiescenceCounter, SchedulerStats,
 };
 
 use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};

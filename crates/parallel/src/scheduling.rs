@@ -7,8 +7,7 @@
 //! (OpenMP `schedule(static)`), which reproduces the load-imbalance
 //! pathology the paper describes for the notification mechanism.
 
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
 
 use crate::{AtomicBitset, ParallelConfig};
 
@@ -79,273 +78,15 @@ impl SchedulerStats {
     }
 }
 
-/// A concurrent dedup-on-insert worklist for frontier scheduling.
-///
-/// Holds ids from a fixed universe `0..universe`. Membership is tracked by
-/// an [`AtomicBitset`], so [`FrontierQueue::push`] is an O(1) test-and-set:
-/// an id already scheduled (bit set) is not enqueued twice. Ids accumulate
-/// in a fixed-capacity array via a relaxed bump pointer — the capacity is
-/// the universe size, which dedup makes sufficient by construction.
-///
-/// The intended epoch protocol (asynchronous frontier sweeps):
-///
-/// 1. workers pop items from a *drained snapshot* of the previous epoch,
-///    call [`FrontierQueue::unmark`] on each before recomputing it, and
-///    [`FrontierQueue::push`] every neighbor whose value changed;
-/// 2. after the epoch barrier, [`FrontierQueue::drain_into`] moves the
-///    accumulated ids into the next snapshot (bits stay set — they mean
-///    "scheduled", and the ids are still scheduled, just in the new epoch).
-///
-/// An id woken while it still awaits processing in the current epoch keeps
-/// its bit and is *not* re-enqueued: the pending visit will observe the
-/// newer τ values, exactly the paper's notification semantics.
-#[derive(Debug)]
-pub struct FrontierQueue {
-    items: Vec<AtomicU32>,
-    tail: AtomicUsize,
-    queued: AtomicBitset,
-}
-
-impl FrontierQueue {
-    /// Empty queue over ids `0..universe`, no bits set.
-    pub fn new(universe: usize) -> Self {
-        FrontierQueue {
-            items: (0..universe).map(|_| AtomicU32::new(0)).collect(),
-            tail: AtomicUsize::new(0),
-            queued: AtomicBitset::new(universe, false),
-        }
-    }
-
-    /// Universe size (also the queue capacity).
-    #[inline]
-    pub fn universe(&self) -> usize {
-        self.items.len()
-    }
-
-    /// Number of ids currently enqueued.
-    #[inline]
-    pub fn len(&self) -> usize {
-        self.tail.load(Ordering::Relaxed).min(self.items.len())
-    }
-
-    /// True when nothing is enqueued.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Schedules `id` unless already scheduled. Returns whether it was
-    /// enqueued now.
-    #[inline]
-    pub fn push(&self, id: u32) -> bool {
-        debug_assert!((id as usize) < self.universe());
-        if self.queued.set(id as usize) {
-            return false; // already scheduled
-        }
-        let slot = self.tail.fetch_add(1, Ordering::Relaxed);
-        debug_assert!(slot < self.items.len(), "FrontierQueue overflow — dedup invariant broken");
-        self.items[slot].store(id, Ordering::Relaxed);
-        true
-    }
-
-    /// Clears `id`'s scheduled bit (call when a worker starts processing
-    /// it). Returns the previous value.
-    #[inline]
-    pub fn unmark(&self, id: u32) -> bool {
-        self.queued.clear(id as usize)
-    }
-
-    /// Whether `id` is currently scheduled.
-    #[inline]
-    pub fn is_marked(&self, id: u32) -> bool {
-        self.queued.get(id as usize)
-    }
-
-    /// Moves all enqueued ids into `out` (appending) and resets the queue's
-    /// buffer. Scheduled bits are left set — the drained ids remain
-    /// scheduled, now owned by the caller's epoch snapshot.
-    ///
-    /// Requires external synchronization (call between epochs, after the
-    /// worker barrier), which is the natural structure of the sweep loop.
-    pub fn drain_into(&self, out: &mut Vec<u32>) {
-        let n = self.len();
-        out.reserve(n);
-        for slot in &self.items[..n] {
-            out.push(slot.load(Ordering::Relaxed));
-        }
-        self.tail.store(0, Ordering::Relaxed);
-    }
-}
-
 // ---------------------------------------------------------------------------
-// Barrier-free drain primitives
+// Continuous-drain primitives
 //
-// The continuous-drain peel and the lock-free And worklist are built from the
-// pieces below instead of `parallel_for_chunks`: persistent workers claim
-// chunks from shared cursors/queues and only meet at explicit phase gates
-// (peel) or run gate-free to quiescence (And). The companion paper's
-// observation that stale reads are harmless is what lets every hot-path
-// access stay relaxed; the few Release/Acquire pairs are annotated with the
-// invariant they carry.
+// The lock-free And worklist is built from the pieces below instead of
+// `parallel_for_chunks`: persistent workers pop from a shared ring and run
+// gate-free to quiescence. The companion paper's observation that stale
+// reads are harmless is what lets every hot-path access stay relaxed; the
+// few Release/Acquire pairs are annotated with the invariant they carry.
 // ---------------------------------------------------------------------------
-
-/// Slot value meaning "reserved but not yet published" in [`DrainQueue`].
-const EMPTY_SLOT: u32 = u32::MAX;
-
-/// A shared claim cursor over the index range `0..limit`.
-///
-/// Workers call [`ChunkCursor::claim`] to take the next contiguous chunk;
-/// the claim is a single relaxed `fetch_add`, so the cursor is the cheapest
-/// possible dynamic scheduler. [`ChunkCursor::reset`] rewinds it for the
-/// next phase and requires external synchronization (the peel drain resets
-/// it from the gate leader's critical section).
-#[derive(Debug)]
-pub struct ChunkCursor {
-    next: AtomicUsize,
-    limit: usize,
-}
-
-impl ChunkCursor {
-    /// Cursor over `0..limit`, positioned at 0.
-    pub fn new(limit: usize) -> Self {
-        ChunkCursor { next: AtomicUsize::new(0), limit }
-    }
-
-    /// Claims up to `chunk` indices; `None` once the range is exhausted.
-    #[inline]
-    pub fn claim(&self, chunk: usize) -> Option<std::ops::Range<usize>> {
-        let chunk = chunk.max(1);
-        let lo = self.next.fetch_add(chunk, Ordering::Relaxed);
-        if lo >= self.limit {
-            return None;
-        }
-        Some(lo..(lo + chunk).min(self.limit))
-    }
-
-    /// Upper end of the claimable range.
-    #[inline]
-    pub fn limit(&self) -> usize {
-        self.limit
-    }
-
-    /// Rewinds to 0. Caller must guarantee no concurrent claims (e.g. all
-    /// workers parked at a [`PhaseGate`]).
-    pub fn reset(&self) {
-        self.next.store(0, Ordering::Relaxed);
-    }
-}
-
-/// A fixed-capacity multi-producer multi-consumer drain queue for items that
-/// are pushed **at most once** (the peel's push-exactly-once invariant: a
-/// vertex enters the queue either from the threshold rescan or from the
-/// unique CAS that lands its `k+1 → k` degree crossing — never both).
-///
-/// Push reserves a slot with a relaxed `fetch_add` on `tail` and publishes
-/// the value with a Release store; consumers claim `[head, head+take)` slot
-/// ranges by CAS and Acquire-read each slot, spinning across the short
-/// reserve→publish window. Because every id is pushed at most once, a
-/// capacity of the id universe can never overflow, and claimed slices are
-/// stable forever — a consumer never contends with a producer for a slot.
-///
-/// Each slot also records the pushing worker, so consumers can count how
-/// many of the items they drained were produced by another worker (the
-/// "steal" telemetry of the work-stealing drain).
-#[derive(Debug)]
-pub struct DrainQueue {
-    slots: Vec<AtomicU32>,
-    owner: Vec<AtomicU32>,
-    tail: AtomicUsize,
-    head: AtomicUsize,
-}
-
-impl DrainQueue {
-    /// Queue holding at most `capacity` pushes over ids `< u32::MAX`.
-    pub fn new(capacity: usize) -> Self {
-        DrainQueue {
-            slots: (0..capacity).map(|_| AtomicU32::new(EMPTY_SLOT)).collect(),
-            owner: (0..capacity).map(|_| AtomicU32::new(0)).collect(),
-            tail: AtomicUsize::new(0),
-            head: AtomicUsize::new(0),
-        }
-    }
-
-    /// Publishes `id` (pushed by `worker`). Panics if the push-once
-    /// invariant is broken (more pushes than capacity).
-    #[inline]
-    pub fn push(&self, id: u32, worker: u32) {
-        debug_assert_ne!(id, EMPTY_SLOT);
-        let slot = self.tail.fetch_add(1, Ordering::Relaxed);
-        assert!(slot < self.slots.len(), "DrainQueue overflow — push-once invariant broken");
-        self.owner[slot].store(worker, Ordering::Relaxed);
-        // Release pairs with the Acquire in `read`: a consumer that sees the
-        // id also sees the owner store above.
-        self.slots[slot].store(id, Ordering::Release);
-    }
-
-    /// Number of slots reserved by pushers so far.
-    #[inline]
-    pub fn pushed(&self) -> usize {
-        self.tail.load(Ordering::Relaxed).min(self.slots.len())
-    }
-
-    /// Number of slots claimed by consumers so far.
-    #[inline]
-    pub fn claimed(&self) -> usize {
-        self.head.load(Ordering::Relaxed)
-    }
-
-    /// Whether any pushed slot is still unclaimed.
-    #[inline]
-    pub fn has_unclaimed(&self) -> bool {
-        self.claimed() < self.pushed()
-    }
-
-    /// Claims up to `max` slots; returns the claimed slot range, or `None`
-    /// when everything pushed so far is already claimed.
-    #[inline]
-    pub fn claim(&self, max: usize) -> Option<std::ops::Range<usize>> {
-        let max = max.max(1);
-        let mut h = self.head.load(Ordering::Relaxed);
-        loop {
-            let t = self.pushed();
-            if h >= t {
-                return None;
-            }
-            let take = (t - h).min(max);
-            match self.head.compare_exchange_weak(h, h + take, Ordering::Relaxed, Ordering::Relaxed)
-            {
-                Ok(_) => return Some(h..h + take),
-                Err(now) => h = now,
-            }
-        }
-    }
-
-    /// Reads the id and pushing worker in a claimed `slot`, spinning across
-    /// the pusher's reserve→publish window. Returns `None` only if `abort`
-    /// is raised while waiting (a poisoned pusher died mid-publish).
-    #[inline]
-    pub fn read(&self, slot: usize, abort: &AtomicBool) -> Option<(u32, u32)> {
-        loop {
-            let v = self.slots[slot].load(Ordering::Acquire);
-            if v != EMPTY_SLOT {
-                return Some((v, self.owner[slot].load(Ordering::Relaxed)));
-            }
-            if abort.load(Ordering::Relaxed) {
-                return None;
-            }
-            std::hint::spin_loop();
-        }
-    }
-
-    /// Rewinds the queue to empty. Caller must guarantee no concurrent use.
-    pub fn reset(&self) {
-        for s in &self.slots {
-            s.store(EMPTY_SLOT, Ordering::Relaxed);
-        }
-        self.tail.store(0, Ordering::Relaxed);
-        self.head.store(0, Ordering::Relaxed);
-    }
-}
 
 /// Bounded lock-free MPMC ring (Vyukov's sequence-number design), used for
 /// worklists whose ids can be pushed *again* after being consumed — the And
@@ -448,11 +189,10 @@ impl MpmcRing {
     }
 }
 
-/// [`MpmcRing`] plus a dedup bitset: the lock-free replacement for the
-/// snapshot+sort epoch protocol of [`FrontierQueue`]. `push` is a no-op for
-/// an id whose bit is already set; consumers `pop` continuously and `unmark`
-/// before recomputing, exactly the paper's notification semantics but with
-/// no epoch barrier. Because an id's bit stays set from push until its
+/// [`MpmcRing`] plus a dedup bitset. `push` is a no-op for an id whose bit
+/// is already set; consumers `pop` continuously and `unmark` before
+/// recomputing, exactly the paper's notification semantics but with no
+/// epoch barrier. Because an id's bit stays set from push until its
 /// consumer unmarks it *after* the pop, the ring holds at most one live
 /// entry per id, so a universe-sized ring is never *logically* full. The
 /// Vyukov protocol can still report full **transiently** when a push wraps
@@ -588,259 +328,6 @@ impl QuiescenceCounter {
     }
 }
 
-/// A leader/follower phase gate for the peel drain's SCAN → DRAIN → SCAN
-/// cycle: followers announce arrival and spin until the leader advances the
-/// phase; the leader waits for all followers, runs its critical section
-/// (merge scan results, advance the threshold, reset cursors), then
-/// releases everyone. `abort` poisons the gate so a panicking worker can
-/// never strand the rest of the team in a spin.
-#[derive(Debug)]
-pub struct PhaseGate {
-    arrived: AtomicUsize,
-    phase: AtomicUsize,
-    parties: usize,
-    abort: AtomicBool,
-}
-
-impl PhaseGate {
-    /// Gate for `parties` workers (one of which acts as leader).
-    pub fn new(parties: usize) -> Self {
-        PhaseGate {
-            arrived: AtomicUsize::new(0),
-            phase: AtomicUsize::new(0),
-            parties: parties.max(1),
-            abort: AtomicBool::new(false),
-        }
-    }
-
-    /// Follower: announce arrival and wait for the next phase. Returns
-    /// `false` if the gate was aborted.
-    pub fn arrive_and_wait(&self) -> bool {
-        let p = self.phase.load(Ordering::Acquire);
-        // AcqRel chains the followers' release sequence so the leader's
-        // Acquire read of the final count sees every follower's prior work.
-        self.arrived.fetch_add(1, Ordering::AcqRel);
-        let mut spins = 0u32;
-        loop {
-            if self.phase.load(Ordering::Acquire) != p {
-                return true;
-            }
-            if self.abort.load(Ordering::Relaxed) {
-                return false;
-            }
-            spins += 1;
-            if spins.is_multiple_of(64) {
-                std::thread::yield_now();
-            } else {
-                std::hint::spin_loop();
-            }
-        }
-    }
-
-    /// Leader: wait until every follower has arrived. Returns `false` if
-    /// the gate was aborted while waiting.
-    pub fn await_followers(&self) -> bool {
-        let mut spins = 0u32;
-        loop {
-            if self.arrived.load(Ordering::Acquire) == self.parties - 1 {
-                return true;
-            }
-            if self.abort.load(Ordering::Relaxed) {
-                return false;
-            }
-            spins += 1;
-            if spins.is_multiple_of(64) {
-                std::thread::yield_now();
-            } else {
-                std::hint::spin_loop();
-            }
-        }
-    }
-
-    /// Leader: release the followers into the next phase. Release publishes
-    /// everything the leader wrote in its critical section.
-    pub fn advance(&self) {
-        self.arrived.store(0, Ordering::Relaxed);
-        self.phase.fetch_add(1, Ordering::Release);
-    }
-
-    /// Poisons the gate: every current and future wait returns `false`.
-    pub fn poison(&self) {
-        self.abort.store(true, Ordering::Release);
-    }
-
-    /// Whether the gate has been poisoned.
-    pub fn poisoned(&self) -> bool {
-        self.abort.load(Ordering::Relaxed)
-    }
-
-    /// The shared abort flag, for spins outside the gate (queue reads).
-    pub fn abort_flag(&self) -> &AtomicBool {
-        &self.abort
-    }
-}
-
-/// Seeded schedule perturbation for the determinism harness: derives one
-/// independent SplitMix64 stream per worker and uses it to vary claim-chunk
-/// sizes and inject yields at claim/push points. The algorithms must
-/// produce bit-identical results under every seed — that is the claim the
-/// `parallel_determinism` test enforces.
-#[derive(Clone, Copy, Debug)]
-pub struct ScheduleJitter {
-    seed: u64,
-}
-
-impl ScheduleJitter {
-    /// Jitter source from a test seed.
-    pub fn new(seed: u64) -> Self {
-        ScheduleJitter { seed }
-    }
-
-    /// Independent per-worker stream.
-    pub fn worker(&self, worker: usize) -> WorkerJitter {
-        WorkerJitter { state: self.seed ^ (worker as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15) }
-    }
-}
-
-/// One worker's jitter stream (SplitMix64).
-#[derive(Clone, Debug)]
-pub struct WorkerJitter {
-    state: u64,
-}
-
-impl WorkerJitter {
-    fn next(&mut self) -> u64 {
-        self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-
-    /// A perturbed chunk size in `1..=max`.
-    pub fn chunk(&mut self, max: usize) -> usize {
-        1 + (self.next() as usize) % max.max(1)
-    }
-
-    /// Maybe yield/spin, perturbing the interleaving.
-    pub fn maybe_yield(&mut self) {
-        match self.next() % 8 {
-            0 => std::thread::yield_now(),
-            1 => {
-                for _ in 0..32 {
-                    std::hint::spin_loop();
-                }
-            }
-            _ => {}
-        }
-    }
-}
-
-/// Where a [`DrainHooks`] callback fires inside a drain worker.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum DrainEvent {
-    /// A chunk (queue or cursor) was claimed.
-    Claim,
-    /// One work item is about to be processed.
-    Item,
-    /// A follow-on item was pushed.
-    Push,
-    /// The worker passed a phase boundary.
-    Phase,
-}
-
-/// Failpoint-style observation/delay hooks for the drain loops, in the
-/// spirit of the WAL's `FailPoints`: tests install a callback that can
-/// sleep, yield, or panic at chosen events to prove stale-read tolerance
-/// and panic containment. Default is a no-op with a single branch on the
-/// hot path.
-#[derive(Clone, Default)]
-pub struct DrainHooks(Option<Arc<dyn Fn(usize, DrainEvent) + Send + Sync>>);
-
-impl std::fmt::Debug for DrainHooks {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(if self.0.is_some() { "DrainHooks(set)" } else { "DrainHooks(none)" })
-    }
-}
-
-impl DrainHooks {
-    /// Installs a hook called with `(worker, event)`.
-    pub fn with(f: impl Fn(usize, DrainEvent) + Send + Sync + 'static) -> Self {
-        DrainHooks(Some(Arc::new(f)))
-    }
-
-    /// Fires the hook if installed.
-    #[inline]
-    pub fn fire(&self, worker: usize, event: DrainEvent) {
-        if let Some(f) = &self.0 {
-            f(worker, event);
-        }
-    }
-}
-
-/// Schedule-control bundle threaded through the drain entry points: an
-/// optional seeded jitter plus optional hooks. `Default` is the production
-/// configuration (no perturbation, no hooks).
-#[derive(Clone, Debug, Default)]
-pub struct DrainControl {
-    /// Seeded schedule perturbation (None = natural schedule).
-    pub jitter: Option<ScheduleJitter>,
-    /// Event hooks (delay injection, panic injection, observation).
-    pub hooks: DrainHooks,
-}
-
-impl DrainControl {
-    /// Control with a seeded jitter and no hooks.
-    pub fn seeded(seed: u64) -> Self {
-        DrainControl { jitter: Some(ScheduleJitter::new(seed)), hooks: DrainHooks::default() }
-    }
-
-    /// Per-worker handle.
-    pub fn worker(&self, worker: usize) -> WorkerControl {
-        WorkerControl {
-            jitter: self.jitter.as_ref().map(|j| j.worker(worker)),
-            hooks: self.hooks.clone(),
-            worker,
-        }
-    }
-}
-
-/// One worker's view of a [`DrainControl`]: owns the jitter stream, fires
-/// hooks with the worker id attached.
-#[derive(Debug)]
-pub struct WorkerControl {
-    jitter: Option<WorkerJitter>,
-    hooks: DrainHooks,
-    worker: usize,
-}
-
-impl WorkerControl {
-    /// Fires the event hook and maybe injects a jittered yield.
-    #[inline]
-    pub fn on(&mut self, event: DrainEvent) {
-        if let Some(j) = &mut self.jitter {
-            j.maybe_yield();
-        }
-        self.hooks.fire(self.worker, event);
-    }
-
-    /// The claim size to use this round: `base`, or a jittered value in
-    /// `1..=base` when a schedule perturbation is installed.
-    #[inline]
-    pub fn chunk(&mut self, base: usize) -> usize {
-        match &mut self.jitter {
-            Some(j) => j.chunk(base),
-            None => base.max(1),
-        }
-    }
-
-    /// This worker's index.
-    #[inline]
-    pub fn id(&self) -> usize {
-        self.worker
-    }
-}
-
 /// Runs `f` over `0..n` in parallel chunks. `f` must be `Sync` (it is shared
 /// by reference across workers) and is invoked with disjoint ranges covering
 /// `0..n` exactly once.
@@ -861,27 +348,6 @@ pub fn parallel_for_chunks_with<S, I, F>(
     f: F,
 ) -> SchedulerStats
 where
-    S: Send,
-    I: Fn() -> S + Sync,
-    F: Fn(&mut S, std::ops::Range<usize>) + Sync,
-{
-    parallel_for_chunks_collect(n, cfg, init, f).0
-}
-
-/// Like [`parallel_for_chunks_with`], but hands each worker's final state
-/// back to the caller (one entry per worker that ran; sequential runs
-/// return exactly one). This is the lock-free accumulation primitive: a
-/// worker appends to its own state on the hot path and the caller merges
-/// the returned states after the barrier — no shared mutex, no atomics
-/// beyond chunk handout.
-pub fn parallel_for_chunks_collect<S, I, F>(
-    n: usize,
-    cfg: ParallelConfig,
-    init: I,
-    f: F,
-) -> (SchedulerStats, Vec<S>)
-where
-    S: Send,
     I: Fn() -> S + Sync,
     F: Fn(&mut S, std::ops::Range<usize>) + Sync,
 {
@@ -889,7 +355,7 @@ where
     let threads = cfg.threads.max(1);
     let chunk = cfg.chunk.max(1);
     if n == 0 {
-        return (SchedulerStats::from_chunks(vec![0; threads]), Vec::new());
+        return SchedulerStats::from_chunks(vec![0; threads]);
     }
     if threads == 1 {
         let mut s = init();
@@ -901,22 +367,17 @@ where
             done = hi;
             chunks += 1;
         }
-        return (SchedulerStats::from_chunks(vec![chunks]), vec![s]);
+        return SchedulerStats::from_chunks(vec![chunks]);
     }
 
+    let counters: Vec<AtomicUsize> = (0..threads).map(|_| AtomicUsize::new(0)).collect();
     match cfg.policy {
-        #[allow(clippy::needless_range_loop)]
         Policy::Dynamic => {
             let next = AtomicUsize::new(0);
-            let counters: Vec<AtomicUsize> = (0..threads).map(|_| AtomicUsize::new(0)).collect();
-            let states = std::thread::scope(|scope| {
-                let mut handles = Vec::with_capacity(threads);
-                for t in 0..threads {
-                    let next = &next;
-                    let counter = &counters[t];
-                    let init = &init;
-                    let f = &f;
-                    handles.push(scope.spawn(move || {
+            std::thread::scope(|scope| {
+                for counter in &counters {
+                    let (next, init, f) = (&next, &init, &f);
+                    scope.spawn(move || {
                         let mut s = init();
                         loop {
                             let lo = next.fetch_add(chunk, Ordering::Relaxed);
@@ -927,31 +388,18 @@ where
                             f(&mut s, lo..hi);
                             counter.fetch_add(1, Ordering::Relaxed);
                         }
-                        s
-                    }));
+                    });
                 }
-                handles.into_iter().map(|h| h.join().expect("worker panicked")).collect()
             });
-            (
-                SchedulerStats::from_chunks(
-                    counters.iter().map(|c| c.load(Ordering::Relaxed)).collect(),
-                ),
-                states,
-            )
         }
-        #[allow(clippy::needless_range_loop)]
         Policy::Static => {
             let per = n.div_ceil(threads);
-            let counters: Vec<AtomicUsize> = (0..threads).map(|_| AtomicUsize::new(0)).collect();
-            let states = std::thread::scope(|scope| {
-                let mut handles = Vec::with_capacity(threads);
-                for t in 0..threads {
+            std::thread::scope(|scope| {
+                for (t, counter) in counters.iter().enumerate() {
                     let lo = (t * per).min(n);
                     let hi = ((t + 1) * per).min(n);
-                    let counter = &counters[t];
-                    let init = &init;
-                    let f = &f;
-                    handles.push(scope.spawn(move || {
+                    let (init, f) = (&init, &f);
+                    scope.spawn(move || {
                         let mut s = init();
                         let mut at = lo;
                         while at < hi {
@@ -960,19 +408,12 @@ where
                             at = end;
                             counter.fetch_add(1, Ordering::Relaxed);
                         }
-                        s
-                    }));
+                    });
                 }
-                handles.into_iter().map(|h| h.join().expect("worker panicked")).collect()
             });
-            (
-                SchedulerStats::from_chunks(
-                    counters.iter().map(|c| c.load(Ordering::Relaxed)).collect(),
-                ),
-                states,
-            )
         }
     }
+    SchedulerStats::from_chunks(counters.iter().map(|c| c.load(Ordering::Relaxed)).collect())
 }
 
 #[cfg(test)]
@@ -1029,32 +470,6 @@ mod tests {
     }
 
     #[test]
-    fn collect_returns_every_workers_state() {
-        for &(threads, policy) in
-            &[(1usize, Policy::Dynamic), (4, Policy::Dynamic), (3, Policy::Static)]
-        {
-            let cfg = ParallelConfig { threads, chunk: 8, policy };
-            let (_, states) =
-                parallel_for_chunks_collect(1000, cfg, Vec::new, |local: &mut Vec<usize>, r| {
-                    local.extend(r)
-                });
-            assert_eq!(states.len(), threads, "{policy:?}");
-            let mut all: Vec<usize> = states.into_iter().flatten().collect();
-            all.sort_unstable();
-            // Every index appears exactly once across the worker states.
-            assert_eq!(all, (0..1000).collect::<Vec<_>>(), "{policy:?} threads={threads}");
-        }
-        // n == 0: no worker ran, no states to merge.
-        let (_, states) = parallel_for_chunks_collect(
-            0,
-            ParallelConfig::with_threads(4),
-            Vec::new,
-            |local: &mut Vec<usize>, r| local.extend(r),
-        );
-        assert!(states.is_empty());
-    }
-
-    #[test]
     fn per_worker_state_is_reused() {
         // Each worker counts its own chunks in local state; stats must agree.
         let cfg = ParallelConfig { threads: 4, chunk: 8, policy: Policy::Dynamic };
@@ -1103,72 +518,6 @@ mod tests {
     }
 
     #[test]
-    fn frontier_queue_dedups_on_insert() {
-        let q = FrontierQueue::new(16);
-        assert!(q.is_empty());
-        assert!(q.push(3));
-        assert!(q.push(7));
-        assert!(!q.push(3), "second push of a scheduled id must be a no-op");
-        assert_eq!(q.len(), 2);
-        assert!(q.is_marked(3) && q.is_marked(7) && !q.is_marked(0));
-        let mut out = Vec::new();
-        q.drain_into(&mut out);
-        assert_eq!(out, vec![3, 7]);
-        assert!(q.is_empty());
-        // Bits survive the drain: the ids are still scheduled (caller owns
-        // them now), so re-pushing is still deduped until unmark.
-        assert!(!q.push(3));
-        assert!(q.unmark(3));
-        assert!(q.push(3));
-    }
-
-    #[test]
-    fn frontier_queue_concurrent_pushes_never_duplicate() {
-        let n = 4096usize;
-        let q = FrontierQueue::new(n);
-        // 4 threads race to push overlapping id ranges.
-        std::thread::scope(|scope| {
-            for t in 0..4usize {
-                let q = &q;
-                scope.spawn(move || {
-                    for i in 0..n {
-                        if (i + t) % 2 == 0 {
-                            q.push(i as u32);
-                        }
-                    }
-                });
-            }
-        });
-        let mut out = Vec::new();
-        q.drain_into(&mut out);
-        let total = out.len();
-        out.sort_unstable();
-        out.dedup();
-        assert_eq!(out.len(), total, "duplicate ids escaped the dedup bitset");
-        assert_eq!(out.len(), n, "every id pushed by some thread must appear once");
-    }
-
-    #[test]
-    fn frontier_queue_epoch_protocol_round_trip() {
-        let q = FrontierQueue::new(8);
-        for id in [1u32, 5, 2] {
-            q.push(id);
-        }
-        let mut current = Vec::new();
-        q.drain_into(&mut current);
-        // Epoch: process current, waking id+1 for even ids.
-        for &id in &current {
-            q.unmark(id);
-            if id % 2 == 0 {
-                q.push(id + 1);
-            }
-        }
-        let mut next = Vec::new();
-        q.drain_into(&mut next);
-        assert_eq!(next, vec![3]);
-    }
-
-    #[test]
     fn scheduler_stats_merge_adds() {
         let mut a = SchedulerStats::from_chunks(vec![1, 2]);
         a.items_processed = 10;
@@ -1180,104 +529,6 @@ mod tests {
         assert_eq!(a.items_processed, 17);
         assert_eq!(a.items_skipped, 2);
         assert_eq!(a.total_chunks(), 15);
-    }
-
-    #[test]
-    fn chunk_cursor_covers_range_exactly_once() {
-        let cur = ChunkCursor::new(1000);
-        let seen: Vec<AtomicUsize> = (0..1000).map(|_| AtomicUsize::new(0)).collect();
-        std::thread::scope(|scope| {
-            for _ in 0..4 {
-                let cur = &cur;
-                let seen = &seen;
-                scope.spawn(move || {
-                    while let Some(r) = cur.claim(7) {
-                        for i in r {
-                            seen[i].fetch_add(1, Ordering::Relaxed);
-                        }
-                    }
-                });
-            }
-        });
-        assert!(seen.iter().all(|c| c.load(Ordering::Relaxed) == 1));
-        assert!(cur.claim(7).is_none());
-        cur.reset();
-        assert_eq!(cur.claim(7), Some(0..7));
-    }
-
-    #[test]
-    fn chunk_cursor_empty_and_single() {
-        let empty = ChunkCursor::new(0);
-        assert!(empty.claim(8).is_none());
-        let one = ChunkCursor::new(1);
-        assert_eq!(one.claim(8), Some(0..1));
-        assert!(one.claim(8).is_none());
-    }
-
-    #[test]
-    fn drain_queue_claims_each_push_once() {
-        let n = 2048u32;
-        let q = DrainQueue::new(n as usize);
-        let abort = AtomicBool::new(false);
-        let seen: Vec<AtomicUsize> = (0..n).map(|_| AtomicUsize::new(0)).collect();
-        // 2 pushers, 2 claimers racing; claimers also count steals.
-        let stolen = AtomicUsize::new(0);
-        std::thread::scope(|scope| {
-            for w in 0..2u32 {
-                let q = &q;
-                scope.spawn(move || {
-                    for id in (w..n).step_by(2) {
-                        q.push(id, w);
-                    }
-                });
-            }
-            for me in 2..4u32 {
-                let q = &q;
-                let abort = &abort;
-                let seen = &seen;
-                let stolen = &stolen;
-                scope.spawn(move || loop {
-                    match q.claim(5) {
-                        Some(r) => {
-                            for slot in r {
-                                let (id, owner) = q.read(slot, abort).unwrap();
-                                seen[id as usize].fetch_add(1, Ordering::Relaxed);
-                                if owner != me {
-                                    stolen.fetch_add(1, Ordering::Relaxed);
-                                }
-                            }
-                        }
-                        None => {
-                            if q.pushed() == n as usize && !q.has_unclaimed() {
-                                break;
-                            }
-                            std::thread::yield_now();
-                        }
-                    }
-                });
-            }
-        });
-        assert!(seen.iter().all(|c| c.load(Ordering::Relaxed) == 1), "each id claimed once");
-        // Claimers never pushed, so every drained item counts as a steal.
-        assert_eq!(stolen.load(Ordering::Relaxed), n as usize);
-    }
-
-    #[test]
-    fn drain_queue_read_aborts_on_poison() {
-        let q = DrainQueue::new(4);
-        // Reserve a slot without publishing (simulates a pusher dying
-        // between reserve and publish) by claiming against a manually
-        // bumped tail.
-        q.tail.store(1, Ordering::Relaxed);
-        let abort = AtomicBool::new(false);
-        std::thread::scope(|scope| {
-            let q = &q;
-            let abort = &abort;
-            let h = scope.spawn(move || q.read(0, abort));
-            std::thread::sleep(std::time::Duration::from_millis(5));
-            abort.store(true, Ordering::Relaxed);
-            assert_eq!(h.join().unwrap(), None);
-        });
     }
 
     #[test]
@@ -1432,81 +683,6 @@ mod tests {
         assert_eq!(processed.load(Ordering::Relaxed), 2);
         assert!(q.quiescent());
         assert_eq!(q.issued(), 2);
-    }
-
-    #[test]
-    fn phase_gate_cycles_and_publishes_leader_writes() {
-        let parties = 4;
-        let gate = PhaseGate::new(parties);
-        let shared = AtomicUsize::new(0);
-        std::thread::scope(|scope| {
-            for w in 0..parties {
-                let gate = &gate;
-                let shared = &shared;
-                scope.spawn(move || {
-                    for round in 0..10usize {
-                        if w == 0 {
-                            assert!(gate.await_followers());
-                            shared.store(round + 1, Ordering::Relaxed);
-                            gate.advance();
-                        } else {
-                            assert!(gate.arrive_and_wait());
-                            // Leader's critical-section write is visible.
-                            assert_eq!(shared.load(Ordering::Relaxed), round + 1);
-                        }
-                    }
-                });
-            }
-        });
-        assert_eq!(shared.load(Ordering::Relaxed), 10);
-    }
-
-    #[test]
-    fn phase_gate_poison_unblocks_everyone() {
-        let gate = PhaseGate::new(3);
-        std::thread::scope(|scope| {
-            let g = &gate;
-            let h1 = scope.spawn(move || g.arrive_and_wait());
-            let h2 = scope.spawn(move || g.await_followers());
-            std::thread::sleep(std::time::Duration::from_millis(5));
-            gate.poison();
-            assert!(!h1.join().unwrap(), "poisoned follower must not hang");
-            assert!(!h2.join().unwrap(), "poisoned leader must not hang");
-        });
-        assert!(gate.poisoned());
-    }
-
-    #[test]
-    fn jitter_streams_are_deterministic_and_distinct() {
-        let j = ScheduleJitter::new(42);
-        let mut a1 = j.worker(0);
-        let mut a2 = j.worker(0);
-        let mut b = j.worker(1);
-        let s1: Vec<usize> = (0..16).map(|_| a1.chunk(64)).collect();
-        let s2: Vec<usize> = (0..16).map(|_| a2.chunk(64)).collect();
-        let s3: Vec<usize> = (0..16).map(|_| b.chunk(64)).collect();
-        assert_eq!(s1, s2, "same seed+worker must replay the same stream");
-        assert_ne!(s1, s3, "workers get independent streams");
-        assert!(s1.iter().all(|&c| (1..=64).contains(&c)));
-    }
-
-    #[test]
-    fn drain_control_default_is_passthrough() {
-        let ctl = DrainControl::default();
-        let mut w = ctl.worker(2);
-        assert_eq!(w.chunk(32), 32);
-        w.on(DrainEvent::Claim); // no hook installed: must be a no-op
-        assert_eq!(w.id(), 2);
-        let fired = Arc::new(AtomicUsize::new(0));
-        let f2 = fired.clone();
-        let hooked = DrainControl {
-            jitter: None,
-            hooks: DrainHooks::with(move |_, _| {
-                f2.fetch_add(1, Ordering::Relaxed);
-            }),
-        };
-        hooked.worker(0).on(DrainEvent::Item);
-        assert_eq!(fired.load(Ordering::Relaxed), 1);
     }
 
     #[test]

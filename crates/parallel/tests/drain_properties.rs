@@ -1,9 +1,8 @@
-//! Property tests for the barrier-free drain primitives: the chunk-claim
-//! cursor, the push-once MPMC drain queue, the dedup worklist ring, and
-//! quiescence-counting termination. Each property hammers the primitive
+//! Property tests for the And drain's primitives: the dedup worklist ring
+//! and quiescence-counting termination. Each property hammers the primitive
 //! from several real threads with randomized sizes, worker counts, and
-//! chunk shapes (including the degenerate shapes the unit tests pin:
-//! empty input, a single item, more workers than chunks) and asserts the
+//! cascade shapes (including the degenerate shapes the unit tests pin:
+//! empty input, a single item, more workers than items) and asserts the
 //! exactly-once / no-loss / termination invariants hold under whatever
 //! interleaving the scheduler produced. Runs at `PROPTEST_CASES=500` in
 //! the nightly slow-props job.
@@ -11,81 +10,9 @@
 //! Bodies live in plain functions (the `proptest!` block only forwards)
 //! so the macro input stays within its recursion budget.
 
-use hdsd_parallel::{ChunkCursor, ConcurrentWorklist, DrainQueue, QuiescenceCounter};
+use hdsd_parallel::{ConcurrentWorklist, QuiescenceCounter};
 use proptest::prelude::*;
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicUsize, Ordering};
-
-/// Every index in `0..limit` is claimed exactly once, no matter how many
-/// workers race on the cursor or how ragged the chunks are.
-fn check_cursor_partitions(limit: usize, workers: usize, chunk: usize) {
-    let cursor = ChunkCursor::new(limit);
-    let hits: Vec<AtomicU32> = (0..limit).map(|_| AtomicU32::new(0)).collect();
-    std::thread::scope(|s| {
-        for _ in 0..workers {
-            s.spawn(|| {
-                while let Some(r) = cursor.claim(chunk) {
-                    for i in r {
-                        hits[i].fetch_add(1, Ordering::Relaxed);
-                    }
-                }
-            });
-        }
-    });
-    for (i, h) in hits.iter().enumerate() {
-        assert_eq!(h.load(Ordering::Relaxed), 1, "index {i} claim count");
-    }
-    assert!(cursor.claim(chunk).is_none(), "exhausted cursor must stay exhausted");
-}
-
-/// Concurrent pushers and claimers: every pushed id is drained exactly
-/// once, with its pushing worker faithfully recorded.
-fn check_drain_queue_exactly_once(n: u32, pushers: u32, claimers: usize, take: usize) {
-    let q = DrainQueue::new(n as usize);
-    let abort = AtomicBool::new(false);
-    let seen: Vec<AtomicU32> = (0..n).map(|_| AtomicU32::new(u32::MAX)).collect();
-    let drained = AtomicUsize::new(0);
-    std::thread::scope(|s| {
-        for w in 0..pushers {
-            let q = &q;
-            s.spawn(move || {
-                // Pusher w owns the ids ≡ w (mod pushers): push-once.
-                let mut id = w;
-                while id < n {
-                    q.push(id, w);
-                    id += pushers;
-                }
-            });
-        }
-        for _ in 0..claimers {
-            let q = &q;
-            let abort = &abort;
-            let seen = &seen;
-            let drained = &drained;
-            s.spawn(move || loop {
-                if let Some(slots) = q.claim(take) {
-                    for slot in slots {
-                        let (id, owner) = q.read(slot, abort).expect("abort never raised");
-                        let prev = seen[id as usize].swap(owner, Ordering::Relaxed);
-                        assert_eq!(prev, u32::MAX, "id {id} drained twice");
-                        drained.fetch_add(1, Ordering::Relaxed);
-                    }
-                } else if drained.load(Ordering::Relaxed) == n as usize {
-                    break;
-                } else {
-                    std::hint::spin_loop();
-                }
-            });
-        }
-    });
-    assert_eq!(q.claimed(), n as usize);
-    for id in 0..n {
-        assert_eq!(
-            seen[id as usize].load(Ordering::Relaxed),
-            id % pushers,
-            "id {id} has the wrong recorded pusher"
-        );
-    }
-}
+use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
 
 /// The dedup worklist never yields an id twice between unmarks, never
 /// loses one, and re-admits ids after unmark — under racing re-pushers.
@@ -183,25 +110,6 @@ fn check_quiescence_cascade(seed_items: u32, workers: usize, fanout: u32, depth:
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
-
-    #[test]
-    fn chunk_cursor_partitions_exactly_once(
-        limit in 0usize..400,
-        workers in 1usize..9,
-        chunk in 1usize..33,
-    ) {
-        check_cursor_partitions(limit, workers, chunk);
-    }
-
-    #[test]
-    fn drain_queue_delivers_each_push_exactly_once(
-        n in 0u32..300,
-        pushers in 1u32..5,
-        claimers in 1usize..5,
-        take in 1usize..17,
-    ) {
-        check_drain_queue_exactly_once(n, pushers, claimers, take);
-    }
 
     #[test]
     fn worklist_pops_equal_successful_pushes(

@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! hdsd-serve [--graph FILE | --snapshot FILE | --synthetic N,M,P,SEED | --demo]
-//!            [--spaces core,truss,34] [--threads N] [--listen ADDR:PORT]
+//!            [--spaces core,truss,34] [--listen ADDR:PORT]
 //!            [--readers N] [--durable DIR] [--fsync always|batch:N|off]
 //!            [--debug-ops] [--metrics-addr ADDR:PORT] [--trace-slow-ms N]
 //!            [--log-format text|json] [--max-inflight N]
@@ -13,7 +13,6 @@
 //!   --synthetic SPEC   Holme–Kim generator, e.g. 20000,8,0.5,7
 //!   --demo             tiny fixed graph (two K4s sharing an edge + tail)
 //!   --spaces LIST      resident decompositions    (default core,truss)
-//!   --threads N        update re-peel threads     (default 1)
 //!   --listen ADDR      serve TCP instead of stdin (e.g. 127.0.0.1:7171)
 //!   --readers N        request worker threads for --listen (default 4).
 //!                      Each worker owns an epoch reader; reads from any
@@ -61,7 +60,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
 
-use hdsd_nucleus::{read_snapshot, CancelToken, LocalConfig};
+use hdsd_nucleus::{read_snapshot, CancelToken};
 use hdsd_service::overload::{is_expensive_op, is_shed_exempt_op};
 use hdsd_service::{
     Admission, BrownoutMode, Durability, DurableConfig, Engine, EngineConfig, FailPoints,
@@ -110,7 +109,6 @@ fn run(args: &[String]) -> Result<(), String> {
     let mut synthetic = None;
     let mut demo = false;
     let mut spaces = vec![SpaceSel::Core, SpaceSel::Truss];
-    let mut threads = 1usize;
     let mut listen = None;
     let mut readers = 4usize;
     let mut durable_dir: Option<String> = None;
@@ -141,9 +139,6 @@ fn run(args: &[String]) -> Result<(), String> {
                             .ok_or_else(|| format!("unknown space {s:?} (core|truss|34)"))
                     })
                     .collect::<Result<_, _>>()?;
-            }
-            "--threads" => {
-                threads = value(&mut i)?.parse().map_err(|e| format!("bad --threads: {e}"))?;
             }
             "--listen" => listen = Some(value(&mut i)?),
             "--readers" => {
@@ -188,9 +183,7 @@ fn run(args: &[String]) -> Result<(), String> {
         i += 1;
     }
 
-    let local =
-        if threads <= 1 { LocalConfig::sequential() } else { LocalConfig::with_threads(threads) };
-    let cfg = EngineConfig { spaces, local };
+    let cfg = EngineConfig { spaces };
 
     // Builds the engine from the input flags — the normal startup path,
     // and the seed for an empty durability directory.
@@ -199,7 +192,7 @@ fn run(args: &[String]) -> Result<(), String> {
             let file = std::fs::File::open(&path).map_err(|e| format!("open {path:?}: {e}"))?;
             let snap = read_snapshot(&mut std::io::BufReader::new(file))
                 .map_err(|e| format!("read snapshot {path:?}: {e}"))?;
-            return Engine::from_snapshot(snap, cfg.local);
+            return Engine::from_snapshot(snap);
         }
         let graph = if let Some(path) = graph_path {
             hdsd_graph::read_edge_list(&path).map_err(|e| format!("read {path:?}: {e}"))?
@@ -242,7 +235,7 @@ fn run(args: &[String]) -> Result<(), String> {
                 policy: fsync,
                 failpoints: FailPoints::none(),
             };
-            let (engine, dur, rep) = Durability::open(dcfg, local, build_engine)?;
+            let (engine, dur, rep) = Durability::open(dcfg, build_engine)?;
             info!(
                 "serve",
                 "durable in {dir:?} ({})",

@@ -14,7 +14,7 @@
 //! * **edge batches** splice the CSR, the shared triangle substrate and
 //!   every space snapshot ([`hdsd_graph::delta`],
 //!   [`hdsd_nucleus::delta`]), then re-peel κ in place on the spliced
-//!   snapshot's flat rows ([`PeelEngine::peel_with`]) — no clique
+//!   snapshot's flat rows ([`PeelEngine::peel_within`]) — no clique
 //!   universe is rebuilt or re-enumerated;
 //! * **snapshots** serialize graph + κ + hierarchies for fast restart.
 //!
@@ -41,8 +41,8 @@ use hdsd_nucleus::hierarchy::NucleusDensity;
 use hdsd_nucleus::{
     build_hierarchy, build_hierarchy_within, core_space_delta, local_estimate_opts,
     nucleus34_space_delta, peel, repair_dirty_seed, truss_space_delta, CachedSpace, CancelToken,
-    Cancelled, CliqueSpace, CoreSpace, Hierarchy, LocalConfig, Nucleus34Space, PeelEngine,
-    QueryEstimate, QueryOptions, Snapshot, SpaceSnapshot, TrussSpace,
+    Cancelled, CliqueSpace, CoreSpace, Hierarchy, Nucleus34Space, PeelEngine, QueryEstimate,
+    QueryOptions, Snapshot, SpaceSnapshot, TrussSpace,
 };
 use hdsd_telemetry::{labeled, span, Registry};
 
@@ -112,18 +112,11 @@ pub struct EngineConfig {
     /// Decompositions to keep resident. The (3,4) space costs the most to
     /// build; enable it when the workload asks for it.
     pub spaces: Vec<SpaceSel>,
-    /// Update-time κ configuration: `parallel.threads > 1` re-peels
-    /// through the barrier-free parallel drain instead of the sequential
-    /// bucket queue (κ is bit-identical either way).
-    pub local: LocalConfig,
 }
 
 impl Default for EngineConfig {
     fn default() -> Self {
-        EngineConfig {
-            spaces: vec![SpaceSel::Core, SpaceSel::Truss],
-            local: LocalConfig::sequential(),
-        }
+        EngineConfig { spaces: vec![SpaceSel::Core, SpaceSel::Truss] }
     }
 }
 
@@ -714,7 +707,6 @@ impl EngineView {
 /// ```
 pub struct Engine {
     view: Arc<EngineView>,
-    local: LocalConfig,
 }
 
 impl Engine {
@@ -733,7 +725,7 @@ impl Engine {
             .collect();
         let view = EngineView { graph: Arc::new(graph), triangles, spaces, updates_applied: 0 };
         view.publish_gauges();
-        Engine { view: Arc::new(view), local: cfg.local }
+        Engine { view: Arc::new(view) }
     }
 
     /// The current view (epoch) as a shareable handle. The serving layer
@@ -930,7 +922,7 @@ impl Engine {
             let kappa = {
                 span!("update.refresh");
                 PeelEngine::new()
-                    .peel_with(sd.cached.flat(), self.local.parallel, cancel)
+                    .peel_within(sd.cached.flat(), cancel)
                     .map_err(|p| p.cancelled)?
                     .kappa
             };
@@ -1033,7 +1025,7 @@ impl Engine {
     /// the graph (cheap relative to decomposing), κ and hierarchies are
     /// adopted as-is — `Arc`-shared with the snapshot, not copied — after
     /// a length check.
-    pub fn from_snapshot(snap: Snapshot, local: LocalConfig) -> Result<Engine, String> {
+    pub fn from_snapshot(snap: Snapshot) -> Result<Engine, String> {
         let needs_tri = snap.spaces.iter().any(|sp| sp.rs != (1, 2));
         let triangles = needs_tri.then(|| Arc::new(TriangleList::build(&snap.graph)));
         let mut spaces = Vec::with_capacity(snap.spaces.len());
@@ -1080,7 +1072,7 @@ impl Engine {
         }
         let view = EngineView { graph: snap.graph, triangles, spaces, updates_applied: 0 };
         view.publish_gauges();
-        Ok(Engine { view: Arc::new(view), local })
+        Ok(Engine { view: Arc::new(view) })
     }
 
     /// Point-in-time statistics.
@@ -1113,10 +1105,7 @@ mod tests {
     }
 
     fn full_config() -> EngineConfig {
-        EngineConfig {
-            spaces: vec![SpaceSel::Core, SpaceSel::Truss, SpaceSel::Nucleus34],
-            local: LocalConfig::sequential(),
-        }
+        EngineConfig { spaces: vec![SpaceSel::Core, SpaceSel::Truss, SpaceSel::Nucleus34] }
     }
 
     #[test]
@@ -1301,7 +1290,7 @@ mod tests {
             let node_of = sp.node_of.as_deref().expect("v3 snapshots carry the index");
             assert_eq!(node_of, &sp.hierarchy.as_ref().unwrap().clique_to_node(sp.kappa.len()));
         }
-        let back = Engine::from_snapshot(snap, LocalConfig::sequential()).unwrap();
+        let back = Engine::from_snapshot(snap).unwrap();
         let (ev, bv) = (engine.view(), back.view());
         for sel in [SpaceSel::Core, SpaceSel::Truss, SpaceSel::Nucleus34] {
             let (a, b) = (ev.state(sel).unwrap(), bv.state(sel).unwrap());
@@ -1326,7 +1315,7 @@ mod tests {
         // A restored engine re-materializes spaces (build_us measured) but
         // adopts κ — the whole point of snapshots — so peel_us is 0.
         let snap = engine.to_snapshot();
-        let back = Engine::from_snapshot(snap, LocalConfig::sequential()).unwrap();
+        let back = Engine::from_snapshot(snap).unwrap();
         let restored = back.stats();
         assert!(restored.spaces.iter().all(|s| s.build_us > 0), "{restored:?}");
         assert!(restored.spaces.iter().all(|s| s.peel_us == 0), "{restored:?}");
@@ -1339,7 +1328,7 @@ mod tests {
         engine.update(&[(0, 50), (1, 51)], &[]);
         let _ = engine.region_of(SpaceSel::Core, 0).unwrap();
         let snap = engine.to_snapshot();
-        let mut back = Engine::from_snapshot(snap, LocalConfig::sequential()).unwrap();
+        let mut back = Engine::from_snapshot(snap).unwrap();
         assert_eq!(back.graph().edges(), engine.graph().edges());
         for sel in [SpaceSel::Core, SpaceSel::Truss, SpaceSel::Nucleus34] {
             assert_eq!(

@@ -1073,7 +1073,6 @@ mod tests {
     use super::*;
     use crate::engine::EngineConfig;
     use hdsd_graph::graph_from_edges;
-    use hdsd_nucleus::LocalConfig;
 
     fn demo_server() -> Server {
         let g = graph_from_edges([
@@ -1090,10 +1089,8 @@ mod tests {
             (4, 5),
             (5, 6),
         ]);
-        let cfg = EngineConfig {
-            spaces: vec![SpaceSel::Core, SpaceSel::Truss, SpaceSel::Nucleus34],
-            local: LocalConfig::sequential(),
-        };
+        let cfg =
+            EngineConfig { spaces: vec![SpaceSel::Core, SpaceSel::Truss, SpaceSel::Nucleus34] };
         Server::new(Engine::new(g, &cfg))
     }
 
@@ -1150,10 +1147,7 @@ mod tests {
     fn empty_graph_nuclei_and_region_have_stable_shapes() {
         let mut s = Server::new(Engine::new(
             hdsd_graph::graph_from_edges([]),
-            &EngineConfig {
-                spaces: vec![SpaceSel::Core, SpaceSel::Truss, SpaceSel::Nucleus34],
-                local: LocalConfig::sequential(),
-            },
+            &EngineConfig { spaces: vec![SpaceSel::Core, SpaceSel::Truss, SpaceSel::Nucleus34] },
         ));
         for space in ["core", "truss", "34"] {
             let h = s.handle_line(&format!(r#"{{"op":"nuclei","space":"{space}","k":1}}"#));
@@ -1462,7 +1456,7 @@ mod tests {
                 &EngineConfig::default(),
             ))
         };
-        let (engine, dur, _) = Durability::open(cfg(), LocalConfig::sequential(), fresh).unwrap();
+        let (engine, dur, _) = Durability::open(cfg(), fresh).unwrap();
         let mut s = Server::with_durability(engine, dur);
         let v = ok(&mut s, r#"{"op":"update","insert":[[1,3],[0,3]]}"#);
         assert_eq!(v.get("wal_seq").unwrap().as_u64(), Some(1));
@@ -1478,12 +1472,7 @@ mod tests {
         drop(s); // unclean: no shutdown, no final checkpoint
 
         let (engine, dur, rep) =
-            Durability::open(
-                cfg(),
-                LocalConfig::sequential(),
-                || Err("must not cold start".into()),
-            )
-            .unwrap();
+            Durability::open(cfg(), || Err("must not cold start".into())).unwrap();
         assert!(rep.snapshot_loaded && rep.replayed == 1);
         let mut s = Server::with_durability(engine, dur);
         let v = ok(&mut s, r#"{"op":"kappa","space":"core","id":0}"#);
@@ -1560,7 +1549,7 @@ mod tests {
                     &EngineConfig::default(),
                 ))
             };
-            let (engine, dur, _) = Durability::open(cfg, LocalConfig::sequential(), fresh).unwrap();
+            let (engine, dur, _) = Durability::open(cfg, fresh).unwrap();
             let mut d = Server::with_durability(engine, dur);
             collect_keys(&ok(&mut d, r#"{"op":"wal_stats"}"#), &mut keys);
             collect_keys(&ok(&mut d, r#"{"op":"checkpoint"}"#), &mut keys);

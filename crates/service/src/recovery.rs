@@ -34,7 +34,7 @@ use std::path::{Path, PathBuf};
 use std::time::Instant;
 
 use hdsd_graph::VertexId;
-use hdsd_nucleus::{read_snapshot, write_snapshot, LocalConfig, Snapshot};
+use hdsd_nucleus::{read_snapshot, write_snapshot, Snapshot};
 
 use crate::engine::Engine;
 use crate::wal::{read_wal, FailPoints, FsyncPolicy, WalStats, WalWriter};
@@ -166,7 +166,6 @@ impl Durability {
     ///   wipe the directory), not the daemon.
     pub fn open(
         cfg: DurableConfig,
-        local: LocalConfig,
         fresh: impl FnOnce() -> Result<Engine, String>,
     ) -> Result<(Engine, Durability, RecoveryReport), String> {
         let start = Instant::now();
@@ -194,7 +193,7 @@ impl Durability {
             let snap = read_snapshot(&mut BufReader::new(file))
                 .map_err(|e| format!("recovery: snapshot {}: {e}", snap_path.display()))?;
             report.snapshot_loaded = true;
-            Engine::from_snapshot(snap, local)?
+            Engine::from_snapshot(snap)?
         } else if have_wal {
             return Err(format!(
                 "recovery: {} has a WAL but no snapshot — the log's base state is unknown; \
@@ -349,18 +348,14 @@ mod tests {
     fn fresh_engine() -> Result<Engine, String> {
         Ok(Engine::new(
             hdsd_datasets::holme_kim(40, 3, 0.5, 9),
-            &EngineConfig {
-                spaces: vec![SpaceSel::Core, SpaceSel::Truss],
-                local: LocalConfig::sequential(),
-            },
+            &EngineConfig { spaces: vec![SpaceSel::Core, SpaceSel::Truss] },
         ))
     }
 
     #[test]
     fn fresh_open_then_replay_after_unclean_death() {
         let dir = tmpdir("replay");
-        let (mut engine, mut dur, rep) =
-            Durability::open(cfg(&dir), LocalConfig::sequential(), fresh_engine).unwrap();
+        let (mut engine, mut dur, rep) = Durability::open(cfg(&dir), fresh_engine).unwrap();
         assert!(rep.cold_start && !rep.snapshot_loaded);
         // Accepted batches: WAL first, then apply — then "die" by dropping
         // without a checkpoint.
@@ -371,20 +366,16 @@ mod tests {
         let kappa: Vec<u32> = engine.kappa_vector(SpaceSel::Core).unwrap().to_vec();
         drop((engine, dur));
 
-        let (rec, dur2, rep2) = Durability::open(cfg(&dir), LocalConfig::sequential(), || {
-            Err("must not cold start".into())
-        })
-        .unwrap();
+        let (rec, dur2, rep2) =
+            Durability::open(cfg(&dir), || Err("must not cold start".into())).unwrap();
         assert!(rep2.snapshot_loaded && !rep2.cold_start);
         assert_eq!(rep2.replayed, 3);
         assert_eq!(rec.kappa_vector(SpaceSel::Core).unwrap(), &kappa[..]);
         // Recovery folded the tail into a fresh checkpoint: a third open
         // replays nothing.
         drop(dur2);
-        let (_e, _d, rep3) = Durability::open(cfg(&dir), LocalConfig::sequential(), || {
-            Err("must not cold start".into())
-        })
-        .unwrap();
+        let (_e, _d, rep3) =
+            Durability::open(cfg(&dir), || Err("must not cold start".into())).unwrap();
         assert_eq!(rep3.replayed, 0);
         fs::remove_dir_all(&dir).ok();
     }
@@ -392,8 +383,7 @@ mod tests {
     #[test]
     fn checkpoint_rotates_and_bounds_replay() {
         let dir = tmpdir("checkpoint");
-        let (mut engine, mut dur, _) =
-            Durability::open(cfg(&dir), LocalConfig::sequential(), fresh_engine).unwrap();
+        let (mut engine, mut dur, _) = Durability::open(cfg(&dir), fresh_engine).unwrap();
         dur.append(&[(0, 30)], &[]).unwrap();
         engine.update(&[(0, 30)], &[]);
         let ck = dur.checkpoint(&engine).unwrap();
@@ -401,10 +391,8 @@ mod tests {
         dur.append(&[(1, 31)], &[]).unwrap();
         engine.update(&[(1, 31)], &[]);
         drop((engine, dur));
-        let (_rec, _dur2, rep) = Durability::open(cfg(&dir), LocalConfig::sequential(), || {
-            Err("must not cold start".into())
-        })
-        .unwrap();
+        let (_rec, _dur2, rep) =
+            Durability::open(cfg(&dir), || Err("must not cold start".into())).unwrap();
         // Only the post-checkpoint batch replays.
         assert_eq!(rep.replayed, 1);
         fs::remove_dir_all(&dir).ok();
@@ -419,7 +407,7 @@ mod tests {
                 .unwrap();
         w.append(&[(0, 1)], &[]).unwrap();
         drop(w);
-        let err = Durability::open(cfg(&dir), LocalConfig::sequential(), fresh_engine)
+        let err = Durability::open(cfg(&dir), fresh_engine)
             .err()
             .expect("orphan WAL must refuse to open");
         assert!(err.contains("no snapshot"), "{err}");
@@ -429,8 +417,7 @@ mod tests {
     #[test]
     fn corrupt_snapshot_is_a_loud_error_not_a_cold_start() {
         let dir = tmpdir("corrupt_snap");
-        let (_e, _d, _) =
-            Durability::open(cfg(&dir), LocalConfig::sequential(), fresh_engine).unwrap();
+        let (_e, _d, _) = Durability::open(cfg(&dir), fresh_engine).unwrap();
         drop((_e, _d));
         // Flip one payload byte: the v4 trailer must catch it and recovery
         // must surface the error instead of quietly rebuilding.
@@ -439,11 +426,9 @@ mod tests {
         let mid = bytes.len() / 2;
         bytes[mid] ^= 0x10;
         fs::write(&snap_path, &bytes).unwrap();
-        let err = Durability::open(cfg(&dir), LocalConfig::sequential(), || {
-            Err("must not cold start".into())
-        })
-        .err()
-        .expect("corrupt snapshot must fail the open");
+        let err = Durability::open(cfg(&dir), || Err("must not cold start".into()))
+            .err()
+            .expect("corrupt snapshot must fail the open");
         assert!(err.contains("snapshot"), "{err}");
         fs::remove_dir_all(&dir).ok();
     }

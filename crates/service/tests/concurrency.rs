@@ -16,7 +16,6 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 
-use hdsd_nucleus::LocalConfig;
 use hdsd_service::engine::EngineView;
 use hdsd_service::{Engine, EngineConfig, EpochCell, SpaceSel};
 
@@ -44,10 +43,7 @@ fn view_digest(view: &EngineView) -> u64 {
 
 fn test_engine() -> Engine {
     let graph = hdsd_datasets::holme_kim(400, 4, 0.4, 11);
-    let cfg = EngineConfig {
-        spaces: vec![SpaceSel::Core, SpaceSel::Truss],
-        local: LocalConfig::sequential(),
-    };
+    let cfg = EngineConfig { spaces: vec![SpaceSel::Core, SpaceSel::Truss] };
     Engine::new(graph, &cfg)
 }
 

@@ -24,7 +24,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use hdsd_graph::CsrGraph;
-use hdsd_nucleus::{assert_forest_eq, peel, CoreSpace, LocalConfig, Nucleus34Space, TrussSpace};
+use hdsd_nucleus::{assert_forest_eq, peel, CoreSpace, Nucleus34Space, TrussSpace};
 use hdsd_service::{
     is_injected_crash, Durability, DurableConfig, Engine, EngineConfig, FailPoints, FsyncPolicy,
     SpaceSel,
@@ -92,7 +92,7 @@ fn random_stream(seed: u64) -> Stream {
 }
 
 fn engine_of(graph: CsrGraph) -> Engine {
-    Engine::new(graph, &EngineConfig { spaces: SPACES.to_vec(), local: LocalConfig::sequential() })
+    Engine::new(graph, &EngineConfig { spaces: SPACES.to_vec() })
 }
 
 fn tmpdir(tag: &str) -> PathBuf {
@@ -141,10 +141,8 @@ fn run_trial(stream: &Stream, reference: &mut Engine, point: &'static str, trial
     let (fp, armed, fired) = one_shot(point);
     let seed_graph = stream.base.clone();
     let (mut engine, mut dur, _) =
-        Durability::open(durable_cfg(&dir, fp), LocalConfig::sequential(), move || {
-            Ok(engine_of(seed_graph))
-        })
-        .expect("fresh open");
+        Durability::open(durable_cfg(&dir, fp), move || Ok(engine_of(seed_graph)))
+            .expect("fresh open");
 
     let c = (stream.batches.len() / 2).min(stream.batches.len() - 1);
     let ckpt_path = !point.starts_with("wal.append") && point != "wal.fsync";
@@ -172,11 +170,10 @@ fn run_trial(stream: &Stream, reference: &mut Engine, point: &'static str, trial
 
     // Restart. A valid checkpoint exists, so recovery must be warm: the
     // fresh closure is poisoned, and adopted κ means zero peel time.
-    let (mut rec, mut dur2, rep) =
-        Durability::open(durable_cfg(&dir, FailPoints::none()), LocalConfig::sequential(), || {
-            Err("unexpected cold start: a checkpoint exists".into())
-        })
-        .unwrap_or_else(|e| panic!("{point}: recovery failed: {e}"));
+    let (mut rec, mut dur2, rep) = Durability::open(durable_cfg(&dir, FailPoints::none()), || {
+        Err("unexpected cold start: a checkpoint exists".into())
+    })
+    .unwrap_or_else(|e| panic!("{point}: recovery failed: {e}"));
     let durable = durable_count(point, c);
     assert!(rep.snapshot_loaded && !rep.cold_start, "{point}: {rep:?}");
     assert_eq!(rep.replayed as usize, durable, "{point}: wrong replay count ({rep:?})");

@@ -14,7 +14,6 @@
 
 use std::path::PathBuf;
 
-use hdsd_nucleus::LocalConfig;
 use hdsd_service::{
     Durability, DurableConfig, Engine, EngineConfig, FailPoints, FsyncPolicy, Json, Server,
     SpaceSel,
@@ -181,10 +180,7 @@ fn every_example_in_protocol_md_runs_verbatim() {
 
     // Default-mode blocks share one server, in document order, exactly
     // like one client session reading the spec top to bottom.
-    let cfg = EngineConfig {
-        spaces: vec![SpaceSel::Core, SpaceSel::Truss, SpaceSel::Nucleus34],
-        local: LocalConfig::sequential(),
-    };
+    let cfg = EngineConfig { spaces: vec![SpaceSel::Core, SpaceSel::Truss, SpaceSel::Nucleus34] };
     let mut plain = Server::new(Engine::new(demo_graph(), &cfg));
 
     // Durable blocks share a durable server over a fresh directory.
@@ -195,8 +191,8 @@ fn every_example_in_protocol_md_runs_verbatim() {
         policy: FsyncPolicy::Always,
         failpoints: FailPoints::none(),
     };
-    let (engine, dur, _) = Durability::open(dcfg, LocalConfig::sequential(), || {
-        let cfg = EngineConfig { spaces: vec![SpaceSel::Core], local: LocalConfig::sequential() };
+    let (engine, dur, _) = Durability::open(dcfg, || {
+        let cfg = EngineConfig { spaces: vec![SpaceSel::Core] };
         Ok(Engine::new(demo_graph(), &cfg))
     })
     .expect("open durability dir");

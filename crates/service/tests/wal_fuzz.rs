@@ -11,7 +11,6 @@
 use std::fs;
 use std::path::PathBuf;
 
-use hdsd_nucleus::LocalConfig;
 use hdsd_service::{
     read_wal, Durability, DurableConfig, Engine, EngineConfig, FailPoints, FsyncPolicy, WalRecord,
     WalWriter,
@@ -134,13 +133,10 @@ fn truncated_snapshots_fail_recovery_loudly_at_every_sampled_offset() {
     let fresh = || {
         Ok(Engine::new(
             hdsd_datasets::holme_kim(30, 2, 0.4, 5),
-            &EngineConfig {
-                spaces: vec![hdsd_service::SpaceSel::Core],
-                local: LocalConfig::sequential(),
-            },
+            &EngineConfig { spaces: vec![hdsd_service::SpaceSel::Core] },
         ))
     };
-    let (_e, _d, _) = Durability::open(cfg(), LocalConfig::sequential(), fresh).unwrap();
+    let (_e, _d, _) = Durability::open(cfg(), fresh).unwrap();
     drop((_e, _d));
     let snap_path = dir.join(hdsd_service::SNAPSHOT_FILE);
     let full = fs::read(&snap_path).unwrap();
@@ -152,11 +148,10 @@ fn truncated_snapshots_fail_recovery_loudly_at_every_sampled_offset() {
     cuts.push(full.len() - 1);
     for cut in cuts {
         fs::write(&snap_path, &full[..cut]).unwrap();
-        let err = Durability::open(cfg(), LocalConfig::sequential(), || {
-            Err("must not cold start over a corrupt snapshot".into())
-        })
-        .err()
-        .unwrap_or_else(|| panic!("truncation at {cut} was accepted"));
+        let err =
+            Durability::open(cfg(), || Err("must not cold start over a corrupt snapshot".into()))
+                .err()
+                .unwrap_or_else(|| panic!("truncation at {cut} was accepted"));
         assert!(err.contains("snapshot"), "cut {cut}: {err}");
     }
     fs::remove_dir_all(&dir).ok();
