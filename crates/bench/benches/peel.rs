@@ -93,7 +93,7 @@ fn main() {
     let (n, m_attach, closure) = if quick { (2_000u32, 6u32, 0.8) } else { (20_000, 8, 0.8) };
     let reps = if quick { 3 } else { 5 };
     let cores = std::thread::available_parallelism().map(|c| c.get()).unwrap_or(1);
-    let git_rev = git_revision();
+    let git_rev = hdsd_bench::git_revision();
     let g = hdsd_datasets::holme_kim(n, m_attach, closure, 7);
     eprintln!(
         "peel bench graph: {} vertices, {} edges ({} cores, revision {git_rev})",
@@ -171,18 +171,4 @@ fn main() {
     };
     std::fs::write(path, &out).expect("write peel bench JSON");
     eprintln!("wrote {path}");
-}
-
-/// `git describe --always --dirty` of the checkout the bench runs in, so
-/// the artifact names the code it measured ("unknown" outside a git tree).
-fn git_revision() -> String {
-    std::process::Command::new("git")
-        .args(["describe", "--always", "--dirty"])
-        .current_dir(env!("CARGO_MANIFEST_DIR"))
-        .output()
-        .ok()
-        .filter(|o| o.status.success())
-        .and_then(|o| String::from_utf8(o.stdout).ok())
-        .map(|s| s.trim().to_string())
-        .unwrap_or_else(|| "unknown".to_string())
 }

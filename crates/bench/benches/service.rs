@@ -6,14 +6,15 @@
 //! * **point-query throughput** — resident-κ lookups per second;
 //! * **budgeted-estimate latency** — `local_estimate_opts` at several
 //!   exploration budgets (mean latency + mean explored ball size);
-//! * **κ stage vs cold peel** — per space and mixed insert/delete batch,
-//!   the wall time of the update's κ stage (`refresh_us`, the re-peel of
-//!   the spliced snapshot) beside a cold `peel` of the same post-batch
-//!   space, built from scratch and peeled once in the same run. The run
-//!   *asserts* κ-exactness of every update; `scripts/bench_gate.py` holds
-//!   the κ stage to 1.1× the cold peel.
-//! * **hierarchy repair vs rebuild** — per space and batch, the repair's
-//!   wall time and preservation counters beside a cold forest rebuild.
+//! * **update stages vs cold peel** — per space and mixed insert/delete
+//!   batch, the wall time of the update's κ stage (`refresh_us`, the
+//!   re-peel of the spliced snapshot) and of its hierarchy stage
+//!   (`hierarchy_us`, the rebuild of the resident forest) beside a cold
+//!   `peel` of the same post-batch space, built from scratch and peeled
+//!   once in the same run (`cold_peel_us`). The run *asserts* that every
+//!   update's κ and forest equal a cold peel and a cold build;
+//!   `scripts/bench_gate.py` holds the κ stage to 1.1× and the hierarchy
+//!   stage to 2.5× the cold peel.
 //!
 //! Run with `cargo bench -p hdsd-bench --bench service` (append
 //! `-- --quick` for the smoke-test size; quick mode writes to `target/`).
@@ -22,7 +23,8 @@ use std::fmt::Write as _;
 use std::time::Instant;
 
 use hdsd_nucleus::{
-    build_hierarchy, peel, CachedSpace, CoreSpace, Nucleus34Space, QueryOptions, TrussSpace,
+    assert_forest_eq, build_hierarchy, peel, CachedSpace, CoreSpace, Nucleus34Space, QueryOptions,
+    TrussSpace,
 };
 use hdsd_service::{Engine, EngineConfig, SpaceSel};
 
@@ -40,18 +42,8 @@ struct RefreshRecord {
     processed: u64,
     splice_us: u64,
     refresh_us: u64,
+    hierarchy_us: u64,
     cold_peel_us: f64,
-}
-
-struct HierarchyRecord {
-    space: String,
-    repair_us: u64,
-    rebuild_us: u64,
-    preserved_nodes: usize,
-    rebuilt_nodes: usize,
-    preserved_fraction: f64,
-    dirty_cliques: usize,
-    scanned_scliques: usize,
 }
 
 use proptest::splitmix64 as splitmix;
@@ -130,10 +122,10 @@ fn main() {
         );
     }
 
-    // ── κ stage vs cold peel, hierarchy repair vs rebuild ─────────────
-    // Make every hierarchy resident first: updates then *repair* the
-    // forests in place, and the post-update region query below no longer
-    // pays a rebuild.
+    // ── κ and hierarchy stages vs cold peel ───────────────────────────
+    // Make every hierarchy resident first: updates then rebuild the
+    // forests eagerly, and the post-update region query below pays no
+    // build.
     for &sel in &spaces {
         let t = Instant::now();
         let _ = engine.nuclei_at(sel, 1).unwrap();
@@ -144,14 +136,13 @@ fn main() {
         );
     }
     // Batch 0 warms the update path up and is not recorded; the rest feed
-    // the gate's per-space median of κ stage over cold peel.
+    // the gate's per-space medians of each stage over the cold peel.
     let batches: usize = if quick { 6 } else { 4 };
     let mut refreshes: Vec<RefreshRecord> = Vec::new();
-    let mut hierarchies: Vec<HierarchyRecord> = Vec::new();
     let mut rng = 0xDECAFu64;
     let mut update_walls_us: Vec<u64> = Vec::new();
     let mut graph_delta_us: Vec<u64> = Vec::new();
-    let mut repair_walls_us: Vec<u64> = Vec::new();
+    let mut hierarchy_walls_us: Vec<u64> = Vec::new();
     let mut post_update_region_us: Vec<u64> = Vec::new();
     for batch in 0..=batches {
         let nv = engine.graph().num_vertices() as u64;
@@ -168,17 +159,17 @@ fn main() {
         }
         update_walls_us.push(report.wall_us);
         graph_delta_us.push(report.graph_delta_us);
-        repair_walls_us.push(report.hierarchy_repair_us);
+        hierarchy_walls_us.push(report.hierarchy_us);
 
-        // The acceptance measurement: the first region query after an
-        // update used to rebuild the whole forest; with in-place repair it
-        // is a plain index read + materialization.
+        // The first region query after an update reads the forest the
+        // update rebuilt: a plain index read + materialization.
         let t_region = Instant::now();
         let _ = engine.region_of(SpaceSel::Core, 0);
         post_update_region_us.push(t_region.elapsed().as_micros() as u64);
 
         // Cold baseline + exactness audit on the *updated* graph.
         let g2 = engine.graph().clone();
+        let snap = engine.to_snapshot();
         for r in &report.spaces {
             let cached = match r.space {
                 "core" => CachedSpace::build(&CoreSpace::new(&g2)),
@@ -197,55 +188,25 @@ fn main() {
                 "{} update diverged from from-scratch peel",
                 r.space
             );
+            // The resident forest the update rebuilt equals a cold build.
+            let pos = spaces.iter().position(|&s| s == sel).unwrap();
+            let resident = snap.spaces[pos].hierarchy.as_ref().expect("hierarchies stay resident");
+            assert_forest_eq(resident, &build_hierarchy(&cached, &exact));
             refreshes.push(RefreshRecord {
                 space: r.space.to_string(),
                 processed: r.processed,
                 splice_us: r.splice_us,
                 refresh_us: r.refresh_us,
+                hierarchy_us: r.hierarchy_us.expect("hierarchies are resident in this bench"),
                 cold_peel_us,
-            });
-
-            // Hierarchy repair vs a from-scratch forest rebuild of the
-            // same updated space.
-            let hr = r.hierarchy_repair.as_ref().expect("hierarchies are resident in this bench");
-            let t_rebuild = Instant::now();
-            let rebuilt = build_hierarchy(&cached, &exact);
-            let rebuild_us = t_rebuild.elapsed().as_micros() as u64;
-            let total_nodes = hr.preserved_nodes + hr.rebuilt_nodes;
-            assert_eq!(
-                total_nodes,
-                rebuilt.len(),
-                "{}: repaired forest size diverged from a cold rebuild",
-                r.space
-            );
-            hierarchies.push(HierarchyRecord {
-                space: r.space.to_string(),
-                repair_us: hr.repair_us,
-                rebuild_us,
-                preserved_nodes: hr.preserved_nodes,
-                rebuilt_nodes: hr.rebuilt_nodes,
-                preserved_fraction: hr.preserved_nodes as f64 / total_nodes.max(1) as f64,
-                dirty_cliques: hr.dirty_cliques,
-                scanned_scliques: hr.scanned_scliques,
             });
         }
     }
     for r in &refreshes {
         eprintln!(
-            "κ stage {}: {} µs re-peeling {} cliques vs cold peel {:.1} µs",
-            r.space, r.refresh_us, r.processed, r.cold_peel_us
-        );
-    }
-    for h in &hierarchies {
-        eprintln!(
-            "hierarchy {}: repair {} µs vs rebuild {} µs ({} preserved / {} rebuilt nodes, \
-             {} s-cliques scanned)",
-            h.space,
-            h.repair_us,
-            h.rebuild_us,
-            h.preserved_nodes,
-            h.rebuilt_nodes,
-            h.scanned_scliques
+            "update {}: κ stage {} µs re-peeling {} cliques, hierarchy stage {} µs, \
+             cold peel {:.1} µs",
+            r.space, r.refresh_us, r.processed, r.hierarchy_us, r.cold_peel_us
         );
     }
 
@@ -261,6 +222,7 @@ fn main() {
     );
     let cores = std::thread::available_parallelism().map(|c| c.get()).unwrap_or(1);
     let _ = writeln!(out, "  \"cores\": {cores},");
+    let _ = writeln!(out, "  \"git_rev\": \"{}\",", hdsd_bench::git_revision());
     let _ = writeln!(out, "  \"engine_build_ms\": {build_ms:.1},");
     out.push_str("  \"cold_start\": [\n");
     for (i, (space, b_us, p_us)) in cold_start.iter().enumerate() {
@@ -296,43 +258,25 @@ fn main() {
         let _ = writeln!(
             out,
             "    {{\"space\": \"{}\", \"processed\": {}, \"splice_us\": {}, \
-             \"refresh_us\": {}, \"cold_peel_us\": {:.1}}}{}",
+             \"refresh_us\": {}, \"hierarchy_us\": {}, \"cold_peel_us\": {:.1}}}{}",
             r.space,
             r.processed,
             r.splice_us,
             r.refresh_us,
+            r.hierarchy_us,
             r.cold_peel_us,
             if i + 1 < refreshes.len() { "," } else { "" }
-        );
-    }
-    out.push_str("  ],\n");
-    out.push_str("  \"hierarchy\": [\n");
-    for (i, h) in hierarchies.iter().enumerate() {
-        let _ = writeln!(
-            out,
-            "    {{\"space\": \"{}\", \"repair_us\": {}, \"rebuild_us\": {}, \
-             \"preserved_nodes\": {}, \"rebuilt_nodes\": {}, \"preserved_fraction\": {:.4}, \
-             \"dirty_cliques\": {}, \"scanned_scliques\": {}}}{}",
-            h.space,
-            h.repair_us,
-            h.rebuild_us,
-            h.preserved_nodes,
-            h.rebuilt_nodes,
-            h.preserved_fraction,
-            h.dirty_cliques,
-            h.scanned_scliques,
-            if i + 1 < hierarchies.len() { "," } else { "" }
         );
     }
     out.push_str("  ],\n");
     let mean = |xs: &[u64]| xs.iter().sum::<u64>() as f64 / 1e3 / xs.len().max(1) as f64;
     let mean_update_ms = mean(&update_walls_us);
     let mean_delta_ms = mean(&graph_delta_us);
-    let mean_repair_ms = mean(&repair_walls_us);
+    let mean_hierarchy_ms = mean(&hierarchy_walls_us);
     let mean_region_ms = mean(&post_update_region_us);
     let _ = writeln!(out, "  \"mean_update_wall_ms\": {mean_update_ms:.1},");
     let _ = writeln!(out, "  \"mean_graph_delta_ms\": {mean_delta_ms:.1},");
-    let _ = writeln!(out, "  \"mean_hierarchy_repair_ms\": {mean_repair_ms:.2},");
+    let _ = writeln!(out, "  \"mean_hierarchy_ms\": {mean_hierarchy_ms:.2},");
     let _ = writeln!(out, "  \"mean_post_update_region_ms\": {mean_region_ms:.2}");
     out.push_str("}\n");
 

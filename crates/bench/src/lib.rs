@@ -140,6 +140,20 @@ impl Table {
     }
 }
 
+/// `git describe --always --dirty` of the checkout the bench runs in, so
+/// the artifact names the code it measured ("unknown" outside a git tree).
+pub fn git_revision() -> String {
+    std::process::Command::new("git")
+        .args(["describe", "--always", "--dirty"])
+        .current_dir(env!("CARGO_MANIFEST_DIR"))
+        .output()
+        .ok()
+        .filter(|o| o.status.success())
+        .and_then(|o| String::from_utf8(o.stdout).ok())
+        .map(|s| s.trim().to_string())
+        .unwrap_or_else(|| "unknown".to_string())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

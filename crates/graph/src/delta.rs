@@ -70,38 +70,6 @@ impl CsrDelta {
     pub fn is_noop(&self) -> bool {
         self.inserted_ids.is_empty() && self.removed_ids.is_empty()
     }
-
-    /// Endpoints of the inserted edges in `graph` (the new graph),
-    /// deduplicated and sorted.
-    pub fn inserted_endpoints(&self, graph: &CsrGraph) -> Vec<VertexId> {
-        let mut out: Vec<VertexId> = self
-            .inserted_ids
-            .iter()
-            .flat_map(|&e| {
-                let (u, v) = graph.edge_endpoints(e);
-                [u, v]
-            })
-            .collect();
-        out.sort_unstable();
-        out.dedup();
-        out
-    }
-
-    /// Endpoints of the removed edges in `graph` (the old graph),
-    /// deduplicated and sorted.
-    pub fn removed_endpoints(&self, graph: &CsrGraph) -> Vec<VertexId> {
-        let mut out: Vec<VertexId> = self
-            .removed_ids
-            .iter()
-            .flat_map(|&e| {
-                let (u, v) = graph.edge_endpoints(e);
-                [u, v]
-            })
-            .collect();
-        out.sort_unstable();
-        out.dedup();
-        out
-    }
 }
 
 /// Applies a mixed batch to `g` by adjacency splicing, returning the new

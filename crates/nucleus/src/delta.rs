@@ -18,9 +18,8 @@
 //!   membership changed ([`hdsd_graph::mark_k4_touched`]); every other row
 //!   is copied with triangle ids remapped — no global K4 enumeration.
 //!
-//! Each function also returns the `new id → old id` clique remap, which is
-//! what lets a resident hierarchy be repaired across the update
-//! **positionally** (see [`crate::hierarchy::repair_dirty_seed`]).
+//! Each function also returns the `new id → old id` clique remap, which
+//! relates the pre- and post-batch κ vectors position by position.
 
 use hdsd_graph::{
     try_for_each_k4_of_triangle, CsrDelta, CsrGraph, TriangleDelta, TriangleList, NO_ID,

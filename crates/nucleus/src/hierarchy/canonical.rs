@@ -1,8 +1,8 @@
 //! Canonical forms for forest equivalence.
 //!
-//! Two [`Hierarchy`] values built by different routes (cold
-//! [`super::build_hierarchy`] vs [`super::repair_hierarchy`], or two cold
-//! builds over differently-ordered s-clique streams) represent the same
+//! Two [`Hierarchy`] values built by different routes ([`super::build_hierarchy`]
+//! vs a naive reference, or two builds over differently numbered or
+//! ordered inputs) represent the same
 //! forest but differ in node numbering and in the order of `children` /
 //! `own_cliques` / `roots` — all artifacts of construction order. Node ids
 //! are renumbering-dependent, so `==` on the raw structs is meaningless

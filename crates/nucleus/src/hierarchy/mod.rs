@@ -8,20 +8,34 @@
 //! topic hierarchy recovered from citation networks in the authors' prior
 //! work).
 //!
-//! Construction processes thresholds in decreasing order with a union–find
-//! over r-cliques. The weight of an s-clique is
-//! `w(S) = min_{R ⊂ S} κ(R)`: `S` connects its members exactly at
-//! thresholds `k ≤ w(S)`. A node is created when a component first appears
-//! at a threshold; when components merge at a smaller threshold the old
-//! nodes become children of the merged node. Each r-clique `R` is assigned
-//! (as an `own_clique`) to the node representing its component at
-//! threshold `κ(R)` — the maximal nucleus in which it first participates.
+//! [`build_hierarchy`] is a counting-sorted union–find. The weight of an
+//! s-clique is `w(S) = min_{R ⊂ S} κ(R)`: `S` connects its members exactly
+//! at thresholds `k ≤ w(S)`.
+//!
+//! 1. A counting sort orders the r-cliques by descending κ (κ ≤ max κ).
+//! 2. Per threshold `k`, each r-clique `R` of κ `k` walks its containers
+//!    (straight from the resident flat rows when the space has them) and
+//!    unions every s-clique of weight `k` of which `R` is the smallest-id
+//!    member of κ `k` — so each s-clique is unioned exactly once, at its
+//!    weight, and none is ever materialized. The union–find is by size
+//!    with path halving.
+//! 3. Each member's single `find` takes the node its component already
+//!    has, and at the end of the threshold every resulting component gets
+//!    exactly one node at `k`: the taken nodes become its children, and
+//!    the members first reached at their own κ become its `own_cliques` —
+//!    each r-clique lands in the maximal nucleus in which it first
+//!    participates.
+//!
+//! The scratch arrays (the κ order and the union–find) live for one build.
+//! Node sizes are final when a node is created (its children are
+//! complete), so nothing is compacted or recounted afterwards. This is a
+//! plain threshold-batched union–find over exact κ, not the
+//! peeling-integrated construction of Sarıyüce–Pınar's *Fast Hierarchy
+//! Construction*.
 
 pub mod canonical;
-pub mod repair;
 
 pub use canonical::assert_forest_eq;
-pub use repair::{repair_dirty_seed, repair_hierarchy, RepairStats};
 
 use hdsd_graph::{density, induced_subgraph, CsrGraph, VertexId};
 
@@ -142,22 +156,6 @@ impl Hierarchy {
         }
         node_of
     }
-
-    /// Incrementally repairs this forest after an edge batch — see
-    /// [`repair_hierarchy`] for the algorithm and the `dirty_seed`
-    /// contract. `self` is the forest of the pre-batch graph; the result is
-    /// structurally identical (canonical-form equal) to
-    /// [`build_hierarchy`] over the post-batch space.
-    pub fn repair<S: CliqueSpace>(
-        &self,
-        space: &S,
-        kappa: &[u32],
-        new_to_old: &[u32],
-        old_num_cliques: usize,
-        dirty_seed: &[u32],
-    ) -> (Hierarchy, RepairStats) {
-        repair_hierarchy(self, space, kappa, new_to_old, old_num_cliques, dirty_seed)
-    }
 }
 
 /// Density summary of one nucleus.
@@ -187,9 +185,10 @@ pub fn build_hierarchy<S: CliqueSpace>(space: &S, kappa: &[u32]) -> Hierarchy {
 }
 
 /// [`build_hierarchy`] with cooperative cancellation: the token is
-/// checked every [`HIERARCHY_CANCEL_CHUNK`] materialized s-cliques and
-/// once per union–find threshold batch, so a tripped deadline aborts the
-/// build with bounded overshoot instead of running to completion.
+/// checked every [`HIERARCHY_CANCEL_CHUNK`] r-cliques of the s-clique walk
+/// (stage `hierarchy s-clique scan`) and at the end of every union–find
+/// threshold (stage `hierarchy union-find`), so a tripped deadline aborts
+/// the build with bounded overshoot instead of running to completion.
 ///
 /// # Panics
 /// Panics when `kappa.len() != space.num_cliques()`.
@@ -201,238 +200,176 @@ pub fn build_hierarchy_within<S: CliqueSpace>(
     let n = space.num_cliques();
     assert_eq!(kappa.len(), n, "kappa length must match clique count");
     let armed = cancel.is_armed();
+    // Counting sort of the r-cliques by descending κ: threshold k's
+    // r-cliques are `order[bounds[max - k]..bounds[max - k + 1]]`.
+    let max = kappa.iter().copied().max().unwrap_or(0) as usize;
+    let mut bounds = vec![0usize; max + 2];
+    for &k in kappa {
+        bounds[max - k as usize + 1] += 1;
+    }
+    for b in 1..bounds.len() {
+        bounds[b] += bounds[b - 1];
+    }
+    let mut order = vec![0u32; n];
+    let mut cursor = bounds.clone();
+    for (i, &k) in kappa.iter().enumerate() {
+        let at = &mut cursor[max - k as usize];
+        order[*at] = i as u32;
+        *at += 1;
+    }
 
-    // Materialize each s-clique once (from its minimum-id member), with
-    // weight w(S) = min κ over members.
-    let mut scliques: Vec<(u32, Vec<u32>)> = Vec::new();
-    for i in 0..n {
-        if armed && i % HIERARCHY_CANCEL_CHUNK == 0 {
-            cancel.check("hierarchy s-clique scan")?;
-        }
-        space.for_each_container(i, |others| {
-            if others.iter().any(|&o| o < i) {
-                return;
+    let mut fb = ForestBuilder::new(n);
+    let mut buf: Vec<u32> = Vec::new();
+    for (b, range) in bounds.windows(2).enumerate() {
+        let k = (max - b) as u32;
+        for (j, &m) in order[range[0]..range[1]].iter().enumerate() {
+            if armed && (range[0] + j) % HIERARCHY_CANCEL_CHUNK == 0 {
+                cancel.check("hierarchy s-clique scan")?;
             }
-            let mut members = Vec::with_capacity(others.len() + 1);
-            members.push(i as u32);
-            members.extend(others.iter().map(|&o| o as u32));
-            let w = members.iter().map(|&m| kappa[m as usize]).min().unwrap();
-            scliques.push((w, members));
-        });
-    }
-
-    let mut fb = ForestBuilder::fresh(n);
-    fb.union_find_pass_within(scliques, kappa, cancel)?;
-    Ok(fb.finalize((space.r(), space.s())))
-}
-
-/// r-cliques scanned between cancellation checks during hierarchy
-/// materialization.
-pub const HIERARCHY_CANCEL_CHUNK: usize = 4096;
-
-/// The threshold-descending union–find state shared by [`build_hierarchy`]
-/// (which starts from an empty forest) and [`repair_hierarchy`] (which
-/// starts pre-seeded with the preserved subtrees of the old forest).
-pub(crate) struct ForestBuilder {
-    /// Growing node arena; may contain tombstones (`k == u32::MAX`).
-    pub(crate) nodes: Vec<HierarchyNode>,
-    /// Union–find parent over r-cliques.
-    pub(crate) parent: Vec<u32>,
-    /// Component root → current node id (`u32::MAX` when none).
-    pub(crate) node_of: Vec<u32>,
-    /// Cliques already seen by some processed s-clique (or belonging to a
-    /// pre-seeded preserved subtree, whose `own_cliques` already exist).
-    pub(crate) activated: Vec<bool>,
-}
-
-pub(crate) fn find(parent: &mut [u32], mut x: u32) -> u32 {
-    while parent[x as usize] != x {
-        parent[x as usize] = parent[parent[x as usize] as usize];
-        x = parent[x as usize];
-    }
-    x
-}
-
-/// Ensures the component rooted at `root` has a node at threshold `k`,
-/// wrapping or creating as needed, and returns that node id.
-fn node_at_k(nodes: &mut Vec<HierarchyNode>, node_of: &mut [u32], root: u32, k: u32) -> u32 {
-    let cur = node_of[root as usize];
-    if cur == u32::MAX {
-        let id = nodes.len() as u32;
-        nodes.push(HierarchyNode {
-            k,
-            parent: None,
-            children: Vec::new(),
-            own_cliques: Vec::new(),
-            size: 0,
-        });
-        node_of[root as usize] = id;
-        id
-    } else if nodes[cur as usize].k > k {
-        // Component persists to a smaller threshold: wrap it.
-        let id = nodes.len() as u32;
-        nodes.push(HierarchyNode {
-            k,
-            parent: None,
-            children: vec![cur],
-            own_cliques: Vec::new(),
-            size: 0,
-        });
-        nodes[cur as usize].parent = Some(id);
-        node_of[root as usize] = id;
-        id
-    } else {
-        debug_assert_eq!(nodes[cur as usize].k, k, "thresholds processed descending");
-        cur
-    }
-}
-
-impl ForestBuilder {
-    /// Empty-forest state over `n` r-cliques (the cold-build start).
-    pub(crate) fn fresh(n: usize) -> ForestBuilder {
-        ForestBuilder {
-            nodes: Vec::new(),
-            parent: (0..n as u32).collect(),
-            node_of: vec![u32::MAX; n],
-            activated: vec![false; n],
+            if let Some(flat) = space.as_flat() {
+                for others in flat.containers(m as usize).chunks_exact(flat.group()) {
+                    fb.union_sclique(m, others, k, kappa);
+                }
+            } else {
+                space.for_each_container(m as usize, |others| {
+                    buf.clear();
+                    buf.extend(others.iter().map(|&o| o as u32));
+                    fb.union_sclique(m, &buf, k, kappa);
+                });
+            }
         }
-    }
-
-    /// Processes `scliques` (weight, member cliques) in descending weight
-    /// order, creating/merging nodes and assigning each clique activated at
-    /// its own κ to its component's node at that threshold.
-    pub(crate) fn union_find_pass(&mut self, scliques: Vec<(u32, Vec<u32>)>, kappa: &[u32]) {
-        self.union_find_pass_within(scliques, kappa, &CancelToken::none())
-            .expect("an unarmed token never cancels");
-    }
-
-    /// [`Self::union_find_pass`] with a cancellation check at the top of
-    /// every threshold batch — the natural unit of this pass, so a
-    /// tripped token overshoots by at most one batch.
-    pub(crate) fn union_find_pass_within(
-        &mut self,
-        mut scliques: Vec<(u32, Vec<u32>)>,
-        kappa: &[u32],
-        cancel: &CancelToken,
-    ) -> Result<(), Cancelled> {
-        let armed = cancel.is_armed();
-        scliques.sort_unstable_by_key(|sc| std::cmp::Reverse(sc.0));
-        let (nodes, parent) = (&mut self.nodes, &mut self.parent);
-        let (node_of, activated) = (&mut self.node_of, &mut self.activated);
-        let mut pending: Vec<u32> = Vec::new(); // κ == k cliques activated at this threshold
-
-        let mut idx = 0usize;
-        while idx < scliques.len() {
+        if range[0] < range[1] {
+            fb.close_threshold(k);
             if armed {
                 cancel.check("hierarchy union-find")?;
             }
-            let k = scliques[idx].0;
-            let mut end = idx;
-            while end < scliques.len() && scliques[end].0 == k {
-                end += 1;
-            }
-            pending.clear();
-            for (_, members) in &scliques[idx..end] {
-                for &m in members {
-                    if !activated[m as usize] {
-                        activated[m as usize] = true;
-                        debug_assert!(kappa[m as usize] >= k);
-                        if kappa[m as usize] == k {
-                            pending.push(m);
-                        }
-                    }
-                }
-                // Union all members; the surviving component's node is the
-                // merge of the members' nodes at this threshold.
-                let mut it = members.iter();
-                let root = find(parent, *it.next().unwrap());
-                // Bring the first component to threshold k.
-                node_at_k(nodes, node_of, root, k);
-                for &m in it {
-                    let rm = find(parent, m);
-                    if rm == root {
-                        continue;
-                    }
-                    let nb = node_at_k(nodes, node_of, rm, k);
-                    let na = node_of[root as usize];
-                    // Merge rm into root (both nodes now have threshold k):
-                    // absorb nb into na.
-                    if na != nb {
-                        let mut kids = std::mem::take(&mut nodes[nb as usize].children);
-                        for &c in &kids {
-                            nodes[c as usize].parent = Some(na);
-                        }
-                        nodes[na as usize].children.append(&mut kids);
-                        let own = std::mem::take(&mut nodes[nb as usize].own_cliques);
-                        nodes[na as usize].own_cliques.extend(own);
-                        // nb becomes an absorbed tombstone; it is removed at
-                        // the compaction step below.
-                        nodes[nb as usize].k = u32::MAX;
-                        nodes[nb as usize].parent = Some(na);
-                    }
-                    parent[rm as usize] = root;
-                    node_of[rm as usize] = u32::MAX;
-                    node_of[root as usize] = na;
-                }
-            }
-            // Every r-clique activated at its own κ belongs to its
-            // component's node at this threshold.
-            for &m in &pending {
-                let root = find(parent, m);
-                let node = node_of[root as usize];
-                debug_assert_ne!(node, u32::MAX);
-                nodes[node as usize].own_cliques.push(m);
-            }
-            idx = end;
         }
-        Ok(())
+    }
+    let roots =
+        (0..fb.nodes.len() as u32).filter(|&i| fb.nodes[i as usize].parent.is_none()).collect();
+    Ok(Hierarchy { nodes: fb.nodes, roots, rs: (space.r(), space.s()) })
+}
+
+/// r-cliques walked between cancellation checks during hierarchy
+/// construction.
+pub const HIERARCHY_CANCEL_CHUNK: usize = 4096;
+
+const NONE: u32 = u32::MAX;
+
+/// The threshold-descending union–find over r-cliques (union by size,
+/// path halving) that assembles the forest one threshold at a time.
+struct ForestBuilder {
+    nodes: Vec<HierarchyNode>,
+    parent: Vec<u32>,
+    size: Vec<u32>,
+    /// Component root → the component's topmost node (`NONE` when none).
+    node_of: Vec<u32>,
+    /// The current threshold's (component root, node) pairs taken from
+    /// the components it touches...
+    taken: Vec<(u32, u32)>,
+    /// ...and its r-cliques reached for the first time at their own κ.
+    fresh: Vec<u32>,
+}
+
+impl ForestBuilder {
+    fn new(n: usize) -> ForestBuilder {
+        ForestBuilder {
+            nodes: Vec::new(),
+            parent: (0..n as u32).collect(),
+            size: vec![1; n],
+            node_of: vec![NONE; n],
+            taken: Vec::new(),
+            fresh: Vec::new(),
+        }
     }
 
-    /// Compacts tombstones, recomputes roots and sizes, and assembles the
-    /// final [`Hierarchy`].
-    pub(crate) fn finalize(self, rs: (usize, usize)) -> Hierarchy {
-        let nodes = self.nodes;
-        // Compact: drop tombstones (k == u32::MAX) and remap ids.
-        let mut remap = vec![u32::MAX; nodes.len()];
-        let mut compacted: Vec<HierarchyNode> = Vec::with_capacity(nodes.len());
-        for (i, node) in nodes.iter().enumerate() {
-            if node.k != u32::MAX {
-                remap[i] = compacted.len() as u32;
-                compacted.push(node.clone());
+    fn find(&mut self, mut x: u32) -> u32 {
+        let parent = &mut self.parent;
+        while parent[x as usize] != x {
+            parent[x as usize] = parent[parent[x as usize] as usize];
+            x = parent[x as usize];
+        }
+        x
+    }
+
+    /// Unions the s-clique `{m} ∪ others` at threshold `k = κ(m)` when its
+    /// weight `min κ` is `k` and `m` is its smallest-id member of κ `k`,
+    /// so each s-clique is unioned exactly once, at its weight.
+    fn union_sclique(&mut self, m: u32, others: &[u32], k: u32, kappa: &[u32]) {
+        let owner = others.iter().all(|&o| {
+            let ko = kappa[o as usize];
+            ko > k || (ko == k && o > m)
+        });
+        if owner {
+            let mut root = self.touch(m, k, kappa, NONE);
+            for &o in others {
+                root = self.touch(o, k, kappa, root);
             }
         }
-        for node in &mut compacted {
-            node.parent = node.parent.map(|p| {
-                debug_assert_ne!(remap[p as usize], u32::MAX, "parent is a tombstone");
-                remap[p as usize]
+    }
+
+    /// One `find` of member `m`: takes the node its component already has
+    /// (or records `m` as fresh when it is an untouched singleton of κ
+    /// `k`), then unions the component into `root`.
+    fn touch(&mut self, m: u32, k: u32, kappa: &[u32], root: u32) -> u32 {
+        let r = self.find(m);
+        let node = self.node_of[r as usize];
+        if node != NONE {
+            self.node_of[r as usize] = NONE;
+            self.taken.push((r, node));
+        } else if r == m && self.size[r as usize] == 1 && kappa[m as usize] == k {
+            self.fresh.push(m);
+        }
+        if root == NONE || root == r {
+            return r;
+        }
+        let (big, small) =
+            if self.size[root as usize] >= self.size[r as usize] { (root, r) } else { (r, root) };
+        self.parent[small as usize] = big;
+        self.size[big as usize] += self.size[small as usize];
+        big
+    }
+
+    /// Gives every component the threshold touched exactly one node at
+    /// `k`: the taken nodes become its children, the fresh r-cliques its
+    /// own cliques. Children are complete, so the size is final.
+    fn close_threshold(&mut self, k: u32) {
+        for j in 0..self.fresh.len() {
+            let m = self.fresh[j];
+            let id = self.node_at(m, k);
+            let node = &mut self.nodes[id as usize];
+            node.own_cliques.push(m);
+            node.size += 1;
+        }
+        for j in 0..self.taken.len() {
+            let (r, child) = self.taken[j];
+            let id = self.node_at(r, k);
+            let child_size = self.nodes[child as usize].size;
+            self.nodes[child as usize].parent = Some(id);
+            let node = &mut self.nodes[id as usize];
+            node.children.push(child);
+            node.size += child_size;
+        }
+        self.fresh.clear();
+        self.taken.clear();
+    }
+
+    /// The node at threshold `k` of `x`'s component, created on first use.
+    /// Every root the threshold touched had its node taken, so a root
+    /// holding a node here holds one created at `k`.
+    fn node_at(&mut self, x: u32, k: u32) -> u32 {
+        let root = self.find(x) as usize;
+        if self.node_of[root] == NONE {
+            self.node_of[root] = self.nodes.len() as u32;
+            self.nodes.push(HierarchyNode {
+                k,
+                parent: None,
+                children: Vec::new(),
+                own_cliques: Vec::new(),
+                size: 0,
             });
-            for c in &mut node.children {
-                *c = remap[*c as usize];
-            }
         }
-        let mut nodes = compacted;
-
-        let roots: Vec<u32> =
-            (0..nodes.len() as u32).filter(|&i| nodes[i as usize].parent.is_none()).collect();
-
-        // Sizes bottom-up (iterative post-order: no recursion depth limit).
-        for &r in &roots {
-            let mut stack: Vec<(u32, usize)> = vec![(r, 0)];
-            while let Some((x, child_at)) = stack.pop() {
-                let node = &nodes[x as usize];
-                if child_at < node.children.len() {
-                    let c = node.children[child_at];
-                    stack.push((x, child_at + 1));
-                    stack.push((c, 0));
-                } else {
-                    let s = node.own_cliques.len()
-                        + node.children.iter().map(|&c| nodes[c as usize].size).sum::<usize>();
-                    nodes[x as usize].size = s;
-                }
-            }
-        }
-
-        Hierarchy { nodes, roots, rs }
+        self.node_of[root]
     }
 }
 
@@ -627,7 +564,7 @@ mod tests {
             };
             let _ = n_cliques;
             for (i, node) in h.nodes.iter().enumerate() {
-                assert_ne!(node.k, u32::MAX, "tombstone survived compaction");
+                assert_ne!(node.k, u32::MAX, "node {i} has a sentinel threshold");
                 if let Some(p) = node.parent {
                     assert!(h.nodes[p as usize].k < node.k, "node {i}");
                     assert!(h.nodes[p as usize].children.contains(&(i as u32)));
@@ -669,6 +606,64 @@ mod tests {
         let best_leaf =
             h.leaves().iter().map(|&l| h.node_density(l, &sp, &g).density).fold(0.0f64, f64::max);
         assert!(best_leaf >= root_d, "leaf density {best_leaf} < root density {root_d}");
+    }
+
+    #[test]
+    fn cancel_trips_at_the_next_scan_chunk_or_threshold() {
+        // 12k cliques: the walk checks at positions 0, 4096 and 8192, and
+        // the union–find once at the end of every κ threshold.
+        let g = hdsd_datasets::holme_kim(12_000, 4, 0.5, 7);
+        let sp = CoreSpace::new(&g);
+        let kappa = peel(&sp).kappa;
+        let scan_checks = sp.num_cliques().div_ceil(HIERARCHY_CANCEL_CHUNK);
+        let mut thresholds = kappa.clone();
+        thresholds.sort_unstable();
+        thresholds.dedup();
+        let trip = |n: usize| {
+            build_hierarchy_within(&sp, &kappa, &CancelToken::tripping_after_checks(n as i64))
+        };
+        // The token tripping on its n-th check stops exactly there: every
+        // check is a chunk or threshold boundary, and there are no others.
+        let stages: Vec<&str> = (1..=scan_checks + thresholds.len())
+            .map(|n| trip(n).expect_err("the build makes this many checks").stage)
+            .collect();
+        assert_eq!(stages[0], "hierarchy s-clique scan");
+        assert_eq!(*stages.last().unwrap(), "hierarchy union-find");
+        assert_eq!(stages.iter().filter(|&&s| s == "hierarchy s-clique scan").count(), scan_checks);
+        assert_eq!(
+            stages.iter().filter(|&&s| s == "hierarchy union-find").count(),
+            thresholds.len()
+        );
+        let h = build_hierarchy(&sp, &kappa);
+        assert_forest_eq(&trip(stages.len() + 1).expect("one check more never trips"), &h);
+        // A pre-tripped token stops before any work, naming the scan.
+        let past = std::time::Instant::now() - std::time::Duration::from_millis(1);
+        let err = build_hierarchy_within(&sp, &kappa, &CancelToken::with_deadline(Some(past)))
+            .unwrap_err();
+        assert_eq!(String::from(err), "deadline exceeded (hierarchy s-clique scan)");
+        let flag = std::sync::Arc::new(std::sync::atomic::AtomicBool::new(true));
+        let err = build_hierarchy_within(&sp, &kappa, &CancelToken::with_flag(flag)).unwrap_err();
+        assert_eq!(String::from(err), "request cancelled (hierarchy s-clique scan)");
+    }
+
+    #[test]
+    fn every_node_is_one_component_with_final_sizes() {
+        // One node per component per threshold: no node is an empty
+        // wrapper, and each size is own + children as built.
+        let g = hdsd_datasets::holme_kim(400, 4, 0.6, 5);
+        for h in [
+            build_hierarchy(&CoreSpace::new(&g), &peel(&CoreSpace::new(&g)).kappa),
+            build_hierarchy(
+                &TrussSpace::precomputed(&g),
+                &peel(&TrussSpace::precomputed(&g)).kappa,
+            ),
+        ] {
+            for node in &h.nodes {
+                assert!(!node.own_cliques.is_empty(), "node at k={} owns no clique", node.k);
+                let kids: usize = node.children.iter().map(|&c| h.nodes[c as usize].size).sum();
+                assert_eq!(node.size, node.own_cliques.len() + kids);
+            }
+        }
     }
 
     #[test]

@@ -201,11 +201,8 @@ impl<K: SpaceKind> Incremental<K> {
         self.update_edges(&[], edges)
     }
 
-    /// Applies a mixed batch in one splice + one re-peel, returning what
-    /// [`Hierarchy::repair`] needs to repair a forest of the pre-batch
-    /// graph instead of rebuilding it.
-    ///
-    /// [`Hierarchy::repair`]: crate::hierarchy::Hierarchy::repair
+    /// Applies a mixed batch in one splice + one re-peel, returning the
+    /// clique-id remap and the pre-batch κ.
     pub fn update_edges(
         &mut self,
         insert: &[(VertexId, VertexId)],
@@ -214,14 +211,11 @@ impl<K: SpaceKind> Incremental<K> {
         let (new_graph, ed) = hdsd_graph::apply_edge_batch(&self.graph, insert, remove);
         let sd = K::apply_delta(&mut self.substrate, &self.cached, &self.graph, &new_graph, &ed);
         let kappa = peel_kappa(&sd.cached);
-        let mut batch_ends = ed.inserted_endpoints(&new_graph);
-        batch_ends.extend(ed.removed_endpoints(&self.graph));
         self.graph = new_graph;
         self.cached = sd.cached;
         BatchOutcome {
             new_to_old: sd.new_to_old,
             old_kappa: std::mem::replace(&mut self.kappa, kappa),
-            batch_ends,
         }
     }
 }
@@ -231,18 +225,13 @@ fn peel_kappa(cached: &CachedSpace) -> Vec<u32> {
     PeelEngine::new().peel(cached.flat()).kappa
 }
 
-/// What one [`Incremental::update_edges`] batch did — the inputs of
-/// [`crate::hierarchy::repair_dirty_seed`] and [`Hierarchy::repair`],
-/// reported instead of recomputed.
-///
-/// [`Hierarchy::repair`]: crate::hierarchy::Hierarchy::repair
+/// What one [`Incremental::update_edges`] batch did to the clique ids and
+/// their κ.
 pub struct BatchOutcome {
     /// New clique id → old clique id ([`hdsd_graph::NO_ID`] for created).
     pub new_to_old: Vec<u32>,
     /// κ of the pre-batch space, indexed by old clique id.
     pub old_kappa: Vec<u32>,
-    /// Endpoints of the edges the batch actually inserted or removed.
-    pub batch_ends: Vec<VertexId>,
 }
 
 impl Incremental<CoreKind> {

@@ -71,8 +71,8 @@ pub use export::{
     SNAPSHOT_MAGIC, SNAPSHOT_MIN_VERSION, SNAPSHOT_VERSION,
 };
 pub use hierarchy::{
-    assert_forest_eq, build_hierarchy, build_hierarchy_within, repair_dirty_seed, repair_hierarchy,
-    Hierarchy, HierarchyNode, RepairStats,
+    assert_forest_eq, build_hierarchy, build_hierarchy_within, Hierarchy, HierarchyNode,
+    HIERARCHY_CANCEL_CHUNK,
 };
 pub use incremental::{
     BatchOutcome, CoreKind, Incremental, IncrementalCore, Nucleus34Kind, SpaceKind, TrussKind,

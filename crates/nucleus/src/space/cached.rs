@@ -78,11 +78,6 @@ impl CachedSpace {
         &self.clique_verts[i * r..(i + 1) * r]
     }
 
-    /// The `r` vertices of every clique, concatenated in clique-id order.
-    pub fn all_clique_vertices(&self) -> &[VertexId] {
-        &self.clique_verts
-    }
-
     /// Heap bytes held by the snapshot.
     pub fn heap_bytes(&self) -> usize {
         self.flat.heap_bytes() + self.clique_verts.len() * std::mem::size_of::<VertexId>()

@@ -23,7 +23,7 @@
 //! Since PR 8 the resident state lives in an immutable, `Arc`-shared
 //! [`EngineView`]: every read operation is `&self` on the view, and
 //! [`Engine::update`] never mutates the current view — it builds the
-//! *next* view off to the side (reusing the splice/repair delta
+//! *next* view off to the side (reusing the splice delta
 //! machinery plus cheap `Arc` adoption for anything untouched) and swaps
 //! the engine's `Arc` over. The serving layer publishes that new view
 //! through an [`crate::epoch::EpochCell`], so concurrent readers keep
@@ -40,9 +40,9 @@ use hdsd_graph::{apply_edge_batch, triangle_delta, CsrGraph, TriangleList, Verte
 use hdsd_nucleus::hierarchy::NucleusDensity;
 use hdsd_nucleus::{
     build_hierarchy, build_hierarchy_within, core_space_delta, local_estimate_opts,
-    nucleus34_space_delta, peel, repair_dirty_seed, truss_space_delta, CachedSpace, CancelToken,
-    Cancelled, CliqueSpace, CoreSpace, Hierarchy, Nucleus34Space, PeelEngine, QueryEstimate,
-    QueryOptions, Snapshot, SpaceSnapshot, TrussSpace,
+    nucleus34_space_delta, peel, truss_space_delta, CachedSpace, CancelToken, Cancelled,
+    CliqueSpace, CoreSpace, Hierarchy, Nucleus34Space, PeelEngine, QueryEstimate, QueryOptions,
+    Snapshot, SpaceSnapshot, TrussSpace,
 };
 use hdsd_telemetry::{labeled, span, Registry};
 
@@ -122,7 +122,7 @@ impl Default for EngineConfig {
 
 /// Hierarchy plus the clique → node index used by region queries. Both
 /// halves are `Arc`'d so a snapshot/checkpoint shares them zero-copy and
-/// a repaired forest moves to the next epoch without cloning the nodes.
+/// a resident forest moves between epochs without cloning the nodes.
 #[derive(Clone)]
 struct HierarchyIndex {
     forest: Arc<Hierarchy>,
@@ -147,8 +147,8 @@ impl HierarchyIndex {
         Ok(Self::from_forest(Arc::new(forest), space.num_cliques()))
     }
 
-    /// Wraps an existing forest (freshly built or repaired) with the
-    /// clique → node inverted index.
+    /// Wraps an existing forest (freshly built or adopted from a
+    /// snapshot) with the clique → node inverted index.
     fn from_forest(forest: Arc<Hierarchy>, num_cliques: usize) -> Self {
         let node_of = Arc::new(forest.clique_to_node(num_cliques));
         HierarchyIndex { forest, node_of }
@@ -166,7 +166,7 @@ struct SpaceView {
     /// the first region/nuclei query of an epoch can fill it through
     /// `&self` — concurrent readers race benignly (first fill wins, all
     /// see the same index) and the writer checks `get()` at update time
-    /// to decide whether the next epoch inherits a repaired forest.
+    /// to decide whether the next epoch rebuilds a resident forest.
     hierarchy: OnceLock<HierarchyIndex>,
     /// Wall time of the cold space materialization (snapshot build) at
     /// startup; 0 when the state was adopted from a snapshot restore.
@@ -260,26 +260,6 @@ pub struct RegionReport {
     pub density: NucleusDensity,
 }
 
-/// Telemetry of one space's incremental hierarchy repair.
-#[derive(Clone, Copy, Debug)]
-pub struct HierarchyRepairReport {
-    /// Wall time of the repair (detach + bounded union–find + graft).
-    pub repair_us: u64,
-    /// Maximal untouched subtrees grafted back without reconstruction.
-    pub preserved_subtrees: usize,
-    /// Old forest nodes reused verbatim.
-    pub preserved_nodes: usize,
-    /// Nodes rebuilt by the bounded union–find pass.
-    pub rebuilt_nodes: usize,
-    /// r-cliques in the dirty set after closure.
-    pub dirty_cliques: usize,
-    /// s-cliques re-enumerated (a cold rebuild scans all of them).
-    pub scanned_scliques: usize,
-    /// True when the repair bailed out to a cold rebuild (no preservable
-    /// subtree — typical for the core space's broad shallow forest).
-    pub full_rebuild: bool,
-}
-
 /// Telemetry of one space's κ refresh.
 #[derive(Clone, Debug)]
 pub struct SpaceRefresh {
@@ -291,10 +271,11 @@ pub struct SpaceRefresh {
     pub splice_us: u64,
     /// Wall time of the κ stage: the re-peel of the spliced snapshot.
     pub refresh_us: u64,
-    /// Incremental hierarchy repair telemetry, when a forest was resident
-    /// (`None` when the space had no hierarchy built yet — nothing to
-    /// repair, and nothing is invalidated either).
-    pub hierarchy_repair: Option<HierarchyRepairReport>,
+    /// Wall time of the hierarchy stage — the rebuild of the resident
+    /// forest over the spliced space — when a forest was resident (`None`
+    /// when the space had no hierarchy built yet: nothing to rebuild, and
+    /// nothing is invalidated either).
+    pub hierarchy_us: Option<u64>,
 }
 
 /// Result of applying one edge batch.
@@ -309,10 +290,9 @@ pub struct UpdateReport {
     pub graph_delta_us: u64,
     /// Per-space refresh telemetry.
     pub spaces: Vec<SpaceRefresh>,
-    /// Total wall time spent repairing resident hierarchies (all spaces);
-    /// 0 when no forest was resident. Before PR 4 this cost was paid as a
-    /// full rebuild by the next `region`/`nuclei` query instead.
-    pub hierarchy_repair_us: u64,
+    /// Total wall time of the hierarchy stage (all spaces); 0 when no
+    /// forest was resident.
+    pub hierarchy_us: u64,
     /// Wall time of the whole update (substrate delta + all refreshes).
     pub wall_us: u64,
 }
@@ -834,19 +814,17 @@ impl Engine {
     /// side**: the CSR, the triangle substrate, and every resident space
     /// snapshot are spliced into fresh values, κ is re-peeled in place on
     /// each spliced snapshot's flat rows, and resident hierarchies are
-    /// **repaired** ([`Hierarchy::repair`]) instead of invalidated. The
-    /// current view is never touched — readers holding it keep answering
-    /// bit-identically — and on return `self.view` is the new epoch, ready
-    /// to publish.
+    /// **rebuilt** ([`build_hierarchy_within`]) over the spliced space
+    /// instead of invalidated. The current view is never touched — readers
+    /// holding it keep answering bit-identically — and on return
+    /// `self.view` is the new epoch, ready to publish.
     ///
-    /// This is a deliberately read-optimized trade: forest maintenance
-    /// (including the cold build the repair degrades to when nothing is
-    /// preservable, `full_rebuild` — routine for the core space's shallow
-    /// forest) is paid here, at update time, keeping every subsequent
-    /// region query rebuild-free. Update-heavy workloads that never touch
+    /// This is a deliberately read-optimized trade: forest maintenance is
+    /// paid here, at update time, keeping every subsequent region query
+    /// rebuild-free. Update-heavy workloads that never touch
     /// `region`/`nuclei` simply never make a hierarchy resident and pay
-    /// none of it. The splices scale with the perturbation; the re-peel is
-    /// linear in the space.
+    /// none of it. The splices scale with the perturbation; the re-peel
+    /// and the forest rebuild are linear in the space.
     ///
     /// A region query racing the update may fill the *old* epoch's
     /// hierarchy `OnceLock` after this writer checked it; the new epoch
@@ -863,10 +841,12 @@ impl Engine {
     }
 
     /// [`Engine::update`] under a cancellation token, threaded into every
-    /// space's κ re-peel (it trips as `peel drain`). Because the next epoch
-    /// is built entirely off to the side, a mid-update trip is trivially
-    /// sound: the partial next view is dropped, `self.view` still points
-    /// at the old epoch, and readers never observe anything in between.
+    /// space's κ re-peel (it trips as `peel drain`) and forest rebuild
+    /// (`hierarchy s-clique scan` / `hierarchy union-find`). Because the
+    /// next epoch is built entirely off to the side, a mid-update trip is
+    /// trivially sound: the partial next view is dropped, `self.view`
+    /// still points at the old epoch, and readers never observe anything
+    /// in between.
     ///
     /// Durability note: callers that append to a WAL **before** applying
     /// must only pass tokens that cannot trip here (or re-apply on
@@ -894,7 +874,7 @@ impl Engine {
 
         let mut reports = Vec::with_capacity(old.spaces.len());
         let mut new_spaces = Vec::with_capacity(old.spaces.len());
-        let mut hierarchy_repair_us = 0u64;
+        let mut hierarchy_us = 0u64;
         for st in old.spaces.iter() {
             let t_splice = Instant::now();
             let splice_span = hdsd_telemetry::trace::Span::enter("update.splice");
@@ -927,58 +907,35 @@ impl Engine {
                     .kappa
             };
             let refresh_us = t_refresh.elapsed().as_micros() as u64;
-            // The next epoch inherits a repaired forest iff this epoch has
+            // The next epoch inherits a rebuilt forest iff this epoch has
             // one resident at this instant (see the race note above).
-            let mut next_hierarchy = None;
-            let hierarchy_repair = st.hierarchy.get().map(|hi| {
-                let t_repair = Instant::now();
-                span!("update.repair");
-                let mut batch_ends = ed.inserted_endpoints(&new_graph);
-                batch_ends.extend(ed.removed_endpoints(&old.graph));
-                let dirty =
-                    repair_dirty_seed(&sd.cached, &sd.new_to_old, &st.kappa, &kappa, &batch_ends);
-                let (forest, stats) =
-                    hi.forest.repair(&sd.cached, &kappa, &sd.new_to_old, st.kappa.len(), &dirty);
-                next_hierarchy =
-                    Some(HierarchyIndex::from_forest(Arc::new(forest), sd.cached.num_cliques()));
-                let repair_us = t_repair.elapsed().as_micros() as u64;
-                hierarchy_repair_us += repair_us;
-                HierarchyRepairReport {
-                    repair_us,
-                    preserved_subtrees: stats.preserved_subtrees,
-                    preserved_nodes: stats.preserved_nodes,
-                    rebuilt_nodes: stats.rebuilt_nodes,
-                    dirty_cliques: stats.dirty_cliques,
-                    scanned_scliques: stats.scanned_scliques,
-                    full_rebuild: stats.full_rebuild,
-                }
-            });
+            let hierarchy = OnceLock::new();
+            let mut space_hierarchy_us = None;
+            if st.hierarchy.get().is_some() {
+                let t_hierarchy = Instant::now();
+                span!("update.hierarchy");
+                let hi = HierarchyIndex::build_within(&sd.cached, &kappa, cancel)?;
+                let _ = hierarchy.set(hi);
+                let us = t_hierarchy.elapsed().as_micros() as u64;
+                hierarchy_us += us;
+                space_hierarchy_us = Some(us);
+            }
             let processed = kappa.len() as u64;
             let reg = Registry::global();
             let lbl = [("space", st.sel.name())];
             reg.counter(&labeled("refresh_processed_total", &lbl)).add(processed);
             reg.histogram(&labeled("update_splice_micros", &lbl)).record(splice_us);
             reg.histogram(&labeled("update_refresh_micros", &lbl)).record(refresh_us);
-            if let Some(hr) = &hierarchy_repair {
-                reg.histogram(&labeled("hierarchy_repair_micros", &lbl)).record(hr.repair_us);
-                reg.counter(&labeled("repair_preserved_nodes_total", &lbl))
-                    .add(hr.preserved_nodes as u64);
-                reg.counter(&labeled("repair_rebuilt_nodes_total", &lbl))
-                    .add(hr.rebuilt_nodes as u64);
-                reg.counter(&labeled("repair_full_rebuilds_total", &lbl))
-                    .add(hr.full_rebuild as u64);
+            if let Some(us) = space_hierarchy_us {
+                reg.histogram(&labeled("hierarchy_repair_micros", &lbl)).record(us);
             }
             reports.push(SpaceRefresh {
                 space: st.sel.name(),
                 processed,
                 splice_us,
                 refresh_us,
-                hierarchy_repair,
+                hierarchy_us: space_hierarchy_us,
             });
-            let hierarchy = OnceLock::new();
-            if let Some(hi) = next_hierarchy {
-                let _ = hierarchy.set(hi);
-            }
             new_spaces.push(SpaceView {
                 sel: st.sel,
                 cached: Arc::new(sd.cached),
@@ -1010,7 +967,7 @@ impl Engine {
             removed: ed.removed(),
             graph_delta_us,
             spaces: reports,
-            hierarchy_repair_us,
+            hierarchy_us,
             wall_us,
         })
     }
@@ -1212,11 +1169,11 @@ mod tests {
     }
 
     #[test]
-    fn updates_repair_resident_hierarchies_instead_of_invalidating() {
+    fn updates_rebuild_resident_hierarchies_instead_of_invalidating() {
         let g = hdsd_datasets::holme_kim(90, 4, 0.5, 41);
         let mut engine = Engine::new(g, &full_config());
         // Make every hierarchy resident, then update: the forests must
-        // stay resident (repaired, not dropped) and match cold rebuilds.
+        // stay resident (rebuilt, not dropped) and match cold builds.
         for sel in [SpaceSel::Core, SpaceSel::Truss, SpaceSel::Nucleus34] {
             let _ = engine.nuclei_at(sel, 1).unwrap();
         }
@@ -1234,11 +1191,7 @@ mod tests {
                 (0..3).map(|i| (round * 7 + i, (round * 13 + 3 * i + 40) % 90)).collect();
             let report = engine.update(&ins, &rm);
             for s in &report.spaces {
-                assert!(
-                    s.hierarchy_repair.is_some(),
-                    "{}: resident hierarchy was not repaired",
-                    s.space
-                );
+                assert!(s.hierarchy_us.is_some(), "{}: resident hierarchy was dropped", s.space);
             }
             for sel in [SpaceSel::Core, SpaceSel::Truss, SpaceSel::Nucleus34] {
                 let view = engine.view();
@@ -1248,7 +1201,7 @@ mod tests {
                     &hi.forest,
                     &build_hierarchy(st.cached.as_ref(), &st.kappa),
                 );
-                // The inverted index matches the repaired forest.
+                // The inverted index matches the rebuilt forest.
                 assert_eq!(*hi.node_of, hi.forest.clique_to_node(st.cached.num_cliques()));
             }
         }
@@ -1256,15 +1209,51 @@ mod tests {
     }
 
     #[test]
-    fn updates_skip_repair_when_no_hierarchy_is_resident() {
+    fn updates_skip_the_hierarchy_stage_when_no_hierarchy_is_resident() {
         let g = hdsd_datasets::holme_kim(60, 4, 0.5, 8);
         let mut engine = Engine::new(g, &full_config());
         let report = engine.update(&[(0, 30)], &[]);
-        assert_eq!(report.hierarchy_repair_us, 0);
-        assert!(report.spaces.iter().all(|s| s.hierarchy_repair.is_none()));
+        assert_eq!(report.hierarchy_us, 0);
+        assert!(report.spaces.iter().all(|s| s.hierarchy_us.is_none()));
         // Lazily built afterwards, the hierarchy serves the updated graph.
         let r = engine.region_of(SpaceSel::Core, 0).unwrap();
         assert!(r.k >= 1);
+    }
+
+    #[test]
+    fn update_tripped_in_the_hierarchy_stage_leaves_the_view_untouched() {
+        let g = hdsd_datasets::holme_kim(120, 4, 0.5, 12);
+        let mut engine = Engine::new(g, &full_config());
+        for sel in [SpaceSel::Core, SpaceSel::Truss, SpaceSel::Nucleus34] {
+            let _ = engine.nuclei_at(sel, 1).unwrap();
+        }
+        let before = engine.view();
+        let v = (1..120).find(|&v| !before.graph().has_edge(0, v)).unwrap();
+        // Trip on the n-th check, for the first n whose check falls in a
+        // hierarchy stage (the earlier ones land in `before update` and
+        // the peel drains).
+        let err = (1..)
+            .find_map(|n| {
+                match engine.update_within(&[(0, v)], &[], &CancelToken::tripping_after_checks(n)) {
+                    Err(e) if e.stage.starts_with("hierarchy") => Some(e),
+                    Err(_) => None,
+                    Ok(_) => panic!("no hierarchy-stage check before the update finished"),
+                }
+            })
+            .unwrap();
+        assert_eq!(err.stage, "hierarchy s-clique scan");
+        // Nothing was published: same epoch, same forests.
+        assert!(Arc::ptr_eq(&before, &engine.view()));
+        assert_eq!(engine.stats().updates_applied, 0);
+        for sel in [SpaceSel::Core, SpaceSel::Truss, SpaceSel::Nucleus34] {
+            let st = before.state(sel).unwrap();
+            let hi = st.hierarchy.get().expect("forest stays resident");
+            hdsd_nucleus::assert_forest_eq(
+                &hi.forest,
+                &build_hierarchy(st.cached.as_ref(), &st.kappa),
+            );
+        }
+        assert!(!engine.graph().has_edge(0, v));
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //!
 //! An [`EpochCell`] holds the current immutable engine view behind an
 //! `Arc`. A single writer lane builds the *next* view off to the side
-//! (the splice/repair delta machinery already produces it as a fresh
+//! (the splice + re-peel update path already produces it as a fresh
 //! value) and [`EpochCell::publish`]es it with one atomic version bump.
 //! Readers hold an [`EpochReader`] each and [`pin`](EpochReader::pin) a
 //! view per request:

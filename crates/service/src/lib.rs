@@ -11,7 +11,7 @@
 //!   queries materialize nuclei from the resident hierarchy;
 //! * edge batches splice the graph and every resident space snapshot
 //!   ([`hdsd_nucleus::delta`]) instead of rebuilding them, then re-peel κ
-//!   on the spliced flat rows and repair resident hierarchies;
+//!   on the spliced flat rows and rebuild resident hierarchies;
 //! * [`hdsd_nucleus::Snapshot`]s restart the engine without decomposing.
 //!
 //! Serving state is published in **epochs** ([`epoch`]): every update
@@ -41,8 +41,8 @@ pub mod recovery;
 pub mod wal;
 
 pub use engine::{
-    Engine, EngineConfig, EngineStats, EngineView, HierarchyRepairReport, NucleusSummary,
-    RegionReport, SpaceRefresh, SpaceSel, SpaceStats, UpdateReport,
+    Engine, EngineConfig, EngineStats, EngineView, NucleusSummary, RegionReport, SpaceRefresh,
+    SpaceSel, SpaceStats, UpdateReport,
 };
 pub use epoch::{EpochCell, EpochReader};
 pub use json::Json;

@@ -837,7 +837,7 @@ impl Server {
             ("removed", report.removed.into()),
             ("wall_micros", report.wall_us.into()),
             ("graph_delta_micros", report.graph_delta_us.into()),
-            ("hierarchy_repair_micros", report.hierarchy_repair_us.into()),
+            ("hierarchy_repair_micros", report.hierarchy_us.into()),
             (
                 "spaces",
                 report
@@ -850,18 +850,12 @@ impl Server {
                             ("splice_micros".to_string(), s.splice_us.into()),
                             ("refresh_micros".to_string(), s.refresh_us.into()),
                         ];
-                        if let Some(hr) = &s.hierarchy_repair {
+                        // The key names predate the rebuild: `repair_micros`
+                        // times the hierarchy stage, a rebuild of the forest.
+                        if let Some(us) = s.hierarchy_us {
                             fields.push((
                                 "hierarchy_repair".to_string(),
-                                obj([
-                                    ("repair_micros", hr.repair_us.into()),
-                                    ("preserved_subtrees", hr.preserved_subtrees.into()),
-                                    ("preserved_nodes", hr.preserved_nodes.into()),
-                                    ("rebuilt_nodes", hr.rebuilt_nodes.into()),
-                                    ("dirty_cliques", hr.dirty_cliques.into()),
-                                    ("scanned_scliques", hr.scanned_scliques.into()),
-                                    ("full_rebuild", hr.full_rebuild.into()),
-                                ]),
+                                obj([("repair_micros", us.into())]),
                             ));
                         }
                         Json::Obj(fields)
@@ -1175,9 +1169,9 @@ mod tests {
     }
 
     #[test]
-    fn update_reports_hierarchy_repair_telemetry() {
+    fn update_reports_hierarchy_stage_telemetry() {
         let mut s = demo_server();
-        // No hierarchy resident yet: repair time is zero, no per-space blob.
+        // No hierarchy resident yet: the stage time is zero, no per-space blob.
         let v = ok(&mut s, r#"{"op":"update","insert":[[0,6]],"remove":[]}"#);
         assert_eq!(v.get("hierarchy_repair_micros").unwrap().as_u64(), Some(0));
         // Make the hierarchies resident, then update again.
@@ -1192,13 +1186,12 @@ mod tests {
         for name in ["core", "truss"] {
             let hr = by_name(name)
                 .get("hierarchy_repair")
-                .unwrap_or_else(|| panic!("{name} should report a repair: {}", v));
-            assert!(hr.get("preserved_nodes").unwrap().as_u64().is_some());
-            assert!(hr.get("scanned_scliques").unwrap().as_u64().is_some());
+                .unwrap_or_else(|| panic!("{name} should report its hierarchy stage: {}", v));
+            assert!(hr.get("repair_micros").unwrap().as_u64().is_some());
         }
-        // The (3,4) hierarchy was never queried, so nothing was repaired.
+        // The (3,4) hierarchy was never queried, so nothing was rebuilt.
         assert!(by_name("nucleus34").get("hierarchy_repair").is_none());
-        // Region queries after a repaired update serve the new graph: the
+        // Region queries after a rebuilding update serve the new graph: the
         // region's threshold is the query vertex's (updated) κ.
         let kappa6 = ok(&mut s, r#"{"op":"kappa","space":"core","id":6}"#)
             .get("kappa")

@@ -4,7 +4,7 @@
 //! Dependency-free runtime telemetry for the serving stack — the
 //! observable counterpart of the paper's convergence-counter methodology:
 //! the decomposition layers already *compute* their work counters
-//! (`SchedulerStats`, `PeelStats`, repair telemetry); this crate is where
+//! (`SchedulerStats`, `PeelStats`, update-stage timings); this crate is where
 //! those numbers stop being dropped and become a scrapeable surface.
 //!
 //! Four pieces, all `std`-only:
